@@ -23,13 +23,6 @@ from .matchers import (
     ScoringConfig,
     aggregate_ehr,
     lcs_length,
-    match_brand,
-    match_currency,
-    match_digit_run,
-    match_house_or_plot,
-    match_pincode,
-    match_proper_noun,
-    match_spelled_digit,
     score_utterance,
 )
 from .numbers import (
@@ -112,13 +105,6 @@ __all__ = [
     "levenshtein",
     "load_language_table",
     "load_lexicon",
-    "match_brand",
-    "match_currency",
-    "match_digit_run",
-    "match_house_or_plot",
-    "match_pincode",
-    "match_proper_noun",
-    "match_spelled_digit",
     "nfkc_normalize",
     "parse_amount_text",
     "parse_currency_expression",

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import logging
@@ -25,7 +26,7 @@ from . import corpus, pipeline, scorecard
 from .errors import ConfigurationError, DataError
 from .matchers import AliasTable, ScoringConfig
 from .numbers import load_language_table, load_lexicon, rewrite_digit_runs
-from .script import LANGUAGES, sfr
+from .script import LANGUAGES, aggregate_sfr, sfr
 from .scorecard import format_value
 from .textnorm import norm_config_from_label
 
@@ -73,17 +74,8 @@ def _print_csv(rows: list[dict]) -> None:
 # ---------------------------------------------------------------------------
 
 def _flatten_scorecard(record: dict) -> dict:
-    flat = {
-        "system": record["system"],
-        "holdout": record["holdout"],
-        "language": record["language"],
-        "n": record["n"],
-        "wer": record["wer"]["rate"],
-        "cer": record["cer"]["rate"],
-        "sfr": record["sfr"]["value"],
-        "ehr_micro": record["ehr"]["micro"],
-        "ehr_macro": record["ehr"]["macro"],
-    }
+    flat = {key: record[key] for key in ("system", "holdout", "language", "n")}
+    flat.update(scorecard._metric_values(record))
     for cls, tally in record["ehr"]["per_class"].items():
         flat[f"ehr[{cls}]"] = tally["rate"]
     return flat
@@ -185,11 +177,10 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
         lines = [l for l in Path(path).read_text(encoding="utf-8").splitlines() if l.strip()]
         if not lines:
             raise DataError(f"transcript file {path} is empty")
-        results = [sfr(line, args.lang) for line in lines]
-        pooled = sum(r.in_block_count for r in results), sum(r.letter_count for r in results)
-        if pooled[1] == 0:
+        pooled = aggregate_sfr(sfr(line, args.lang) for line in lines).value
+        if pooled is None:
             raise DataError(f"transcript file {path} has no letters; SFR undefined")
-        per_holdout[name] = pooled[0] / pooled[1]
+        per_holdout[name] = pooled
     verdict = scorecard.diagnose(per_holdout, args.lang)
     if args.format == "records":
         _print_records(
@@ -222,9 +213,16 @@ def _load_scorecard_record(path: str) -> dict:
         record = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DataError(f"scorecard {path} is not valid JSON ({exc.msg})") from exc
-    for key in ("wer", "cer", "sfr", "ehr"):
-        if key not in record:
-            raise DataError(f"scorecard {path} is missing field {key!r}")
+    try:
+        values = scorecard._metric_values(record).values()
+        valid = all(v is None or type(v) in (int, float) for v in values)
+    except (KeyError, TypeError):
+        valid = False
+    if not valid:
+        raise DataError(
+            f"scorecard {path} needs a number or null at each of wer.rate, cer.rate,"
+            " sfr.value, ehr.micro and ehr.macro"
+        )
     return record
 
 
@@ -350,21 +348,13 @@ def cmd_pipeline_rewrite_digits(args: argparse.Namespace) -> int:
     changed = 0
     for row in rows:
         table = load_language_table(row.language)
-        new_text = rewrite_digit_runs(row.text, table, args.mode)
+        try:
+            new_text = rewrite_digit_runs(row.text, table, args.mode)
+        except DataError as exc:
+            raise DataError(f"row {row.id!r}: {exc}") from exc
         if new_text != row.text:
             changed += 1
-        rewritten.append(
-            corpus.ManifestRow(
-                id=row.id,
-                text=new_text,
-                language=row.language,
-                corpus_class=row.corpus_class,
-                synth_system=row.synth_system,
-                cer_against_source=row.cer_against_source,
-                status=row.status,
-                entity_tokens=row.entity_tokens,
-            )
-        )
+        rewritten.append(dataclasses.replace(row, text=new_text))
     corpus.save_manifest(args.out, rewritten)
     print(f"rewrote digit runs in {changed} of {len(rows)} rows ({args.mode})")
     return EXIT_OK
@@ -479,7 +469,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

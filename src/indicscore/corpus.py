@@ -13,12 +13,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterable, TypeVar
+from typing import Iterable
 
 from .errors import DataError
 from .matchers import MATCHER_CLASSES, EntityToken
-from .script import SfrResult, aggregate_sfr, script_block, script_purity_check, sfr
-from .textnorm import casefold_normalize, collapse_whitespace, nfkc_normalize, tokenize
+from .script import script_block, script_purity_check
+from .textnorm import nfkc_normalize, tokenize
 
 # Corpus-level utterance classes. Rows of the first four imply a single
 # matcher class, so their entity tokens may be written as plain strings.
@@ -88,18 +88,26 @@ def with_status(row: ManifestRow, status: str) -> ManifestRow:
 # ---------------------------------------------------------------------------
 
 def _iter_jsonl(path: Path, problems: list[str]) -> Iterable[tuple[int, dict]]:
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            problems.append(f"line {lineno}: invalid JSON ({exc.msg})")
-            continue
-        if not isinstance(record, dict):
-            problems.append(f"line {lineno}: expected a JSON object")
-            continue
-        yield lineno, record
+    # Lines end at b"\n" only: str.splitlines() would also break at the
+    # U+2028 and U+0085 that _write_jsonl leaves unescaped.
+    with open(path, "rb") as handle:
+        for lineno, raw in enumerate(handle, 1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                problems.append(f"line {lineno}: not valid UTF-8")
+                continue
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                problems.append(f"line {lineno}: invalid JSON ({exc.msg})")
+                continue
+            if not isinstance(record, dict):
+                problems.append(f"line {lineno}: expected a JSON object")
+                continue
+            yield lineno, record
 
 
 def _required_str(record: dict, key: str, lineno: int, problems: list[str]) -> str | None:
@@ -191,26 +199,6 @@ def load_holdout(path: str | Path) -> list[HoldoutRow]:
     if problems:
         raise DataError(f"malformed holdout file {path}", problems)
     return rows
-
-
-def holdout_row_to_record(row: HoldoutRow) -> dict:
-    record = {
-        "id": row.id,
-        "text": row.text,
-        "audio_path": row.audio_path,
-        "entity_tokens": [
-            {"surface": t.surface, "matcher_class": t.matcher_class, "language": t.language}
-            for t in row.entity_tokens
-        ],
-        "entity_class": row.entity_class,
-    }
-    if row.language is not None:
-        record["language"] = row.language
-    return record
-
-
-def save_holdout(path: str | Path, rows: Iterable[HoldoutRow]) -> None:
-    _write_jsonl(path, (holdout_row_to_record(r) for r in rows))
 
 
 def load_predictions(path: str | Path) -> list[Prediction]:
@@ -328,38 +316,7 @@ def _write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Entity dictionaries
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EntityRecord:
-    """One dictionary entry: a surface plus optional aliases."""
-
-    surface: str
-    aliases: tuple[str, ...] = ()
-
-
-def load_entity_dictionary(path: str | Path) -> list[EntityRecord]:
-    """Load one-record-per-line entity files ({"surface": ..., "aliases": [...]})."""
-    path = Path(path)
-    problems: list[str] = []
-    records: list[EntityRecord] = []
-    for lineno, record in _iter_jsonl(path, problems):
-        surface = _required_str(record, "surface", lineno, problems)
-        if surface is None:
-            continue
-        aliases = record.get("aliases", [])
-        if not isinstance(aliases, list) or not all(isinstance(a, str) for a in aliases):
-            problems.append(f"line {lineno}: aliases must be a list of strings")
-            continue
-        records.append(EntityRecord(surface=surface, aliases=tuple(aliases)))
-    if problems:
-        raise DataError(f"malformed entity dictionary {path}", problems)
-    return records
-
-
-# ---------------------------------------------------------------------------
-# Row validation and deduplication
+# Row validation
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -433,27 +390,3 @@ def validate_corpus_row(
         )
     return violations
 
-
-RowT = TypeVar("RowT")
-
-
-def dedup_rows(rows: Iterable[RowT], key: Callable[[RowT], str] | None = None) -> list[RowT]:
-    """Drop near-duplicate rows, keeping the first occurrence.
-
-    The default key is the casefolded NFKC text with whitespace collapsed.
-    """
-    if key is None:
-        key = lambda row: collapse_whitespace(casefold_normalize(row.text))  # noqa: E731
-    seen: set[str] = set()
-    kept: list[RowT] = []
-    for row in rows:
-        k = key(row)
-        if k not in seen:
-            seen.add(k)
-            kept.append(row)
-    return kept
-
-
-def holdout_sfr(rows: Iterable[HoldoutRow], language: str) -> SfrResult:
-    """Pooled SFR over row texts (useful for sanity-checking references)."""
-    return aggregate_sfr(sfr(row.text, language) for row in rows)

@@ -24,6 +24,11 @@ when the reference surface itself contains Latin digits ("5 lakh",
 reference is a pure word sequence ("ఇరవై లక్ష" against "2000000"); strict
 mode scores such pairs by surface only, so strict hits are always a
 subset of bidirectional hits.
+
+`score_utterance` is the one entry point. It normalizes the hypothesis at
+most once per form (casefolded tokens, fused digit runs) and looks each
+token's matcher up in a table keyed by class. The Jaccard and LCS
+thresholds and the window slop are fixed module constants.
 """
 
 from __future__ import annotations
@@ -32,34 +37,27 @@ import logging
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ConfigurationError, ReferenceDataError
-from .numbers import (
-    MultiplierTable,
-    load_language_table,
-    parse_amount_text,
-    parse_currency_expression,
-)
+from .numbers import MultiplierTable, _scan_amounts, load_language_table, parse_amount_text
 from .textnorm import casefold_normalize, nfkc_normalize, tokenize
 
 logger = logging.getLogger(__name__)
-
-MATCHER_CLASSES = (
-    "digit_run",
-    "pincode",
-    "currency_amount",
-    "brand",
-    "proper_noun",
-    "spelled_digit",
-    "house_or_plot",
-)
 
 CURRENCY_MODES = ("strict", "bidirectional")
 
 # Relative tolerance for currency comparison: half a percent, inclusive.
 CURRENCY_TOLERANCE = Fraction(1, 200)
+
+# Proper nouns hit at token-set Jaccard >= JACCARD_THRESHOLD against
+# hypothesis windows of k - WINDOW_SLOP to k + WINDOW_SLOP tokens.
+JACCARD_THRESHOLD = 0.80
+WINDOW_SLOP = 1
+# Spelled digits hit when the LCS keeps this share of the reference digits.
+LCS_THRESHOLD = 0.80
 
 # A maximal digit run, permitting a single grouping comma or space between
 # digits so that "98765 43210" and "9,876,543,210" fuse to one run.
@@ -129,21 +127,29 @@ class AliasTable:
             groups.append([f for f in line.split("\t") if f.strip()])
         return cls(groups)
 
-    @classmethod
-    def from_entity_records(cls, records: Iterable) -> "AliasTable":
-        """Build from entity dictionary records carrying surface + aliases."""
-        return cls([(r.surface, *r.aliases) for r in records])
-
 
 # ---------------------------------------------------------------------------
 # Helpers
 # ---------------------------------------------------------------------------
 
-def _fused_digit_runs(text: str) -> list[str]:
-    return [
-        m.group().replace(" ", "").replace(",", "")
-        for m in _FUSED_RUN_RE.finditer(nfkc_normalize(text))
-    ]
+class _Hypothesis:
+    """One hypothesis and its matching forms, each computed on first use."""
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+
+    @cached_property
+    def tokens(self) -> list[str]:
+        """Casefolded tokens, shared by every token-level matcher."""
+        return tokenize(casefold_normalize(self.text))
+
+    @cached_property
+    def digit_runs(self) -> list[str]:
+        """Maximal digit runs of the NFKC text, fused across separators."""
+        return [
+            m.group().replace(" ", "").replace(",", "")
+            for m in _FUSED_RUN_RE.finditer(nfkc_normalize(self.text))
+        ]
 
 
 def _surface_digits(surface: str) -> str:
@@ -174,57 +180,50 @@ def lcs_length(a: Sequence, b: Sequence) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Matchers
+# Matchers: each takes (token, hypothesis view, config)
 # ---------------------------------------------------------------------------
 
-def match_digit_run(token: EntityToken, hypothesis: str) -> MatchResult:
+def _match_digit_run(token: EntityToken, hyp: _Hypothesis, config: ScoringConfig) -> MatchResult:
     """Exact maximal-digit-run match after NFKC and separator fusing."""
     ref = _surface_digits(token.surface)
-    if ref and ref in _fused_digit_runs(hypothesis):
+    if ref and ref in hyp.digit_runs:
         return MatchResult(token.surface, "digit_run", True, f"run {ref} present")
     return MatchResult(token.surface, "digit_run", False)
 
 
-def match_pincode(token: EntityToken, hypothesis: str) -> MatchResult:
+def _match_pincode(token: EntityToken, hyp: _Hypothesis, config: ScoringConfig) -> MatchResult:
     """Exact 6-digit run match; the reference must be exactly 6 digits."""
     ref = _surface_digits(token.surface)
     if len(ref) != 6:
         raise ReferenceDataError(
             f"pincode token {token.surface!r} must have exactly 6 digits, found {len(ref)}"
         )
-    if ref in _fused_digit_runs(hypothesis):
+    if ref in hyp.digit_runs:
         return MatchResult(token.surface, "pincode", True, f"run {ref} present")
     return MatchResult(token.surface, "pincode", False)
 
 
-def match_currency(
-    token: EntityToken,
-    hypothesis: str,
-    table: MultiplierTable,
-    mode: str = "strict",
-) -> MatchResult:
+def _match_currency(token: EntityToken, hyp: _Hypothesis, config: ScoringConfig) -> MatchResult:
     """Numeric currency match within +/-0.5 percent of the reference value."""
-    if mode not in CURRENCY_MODES:
-        raise ConfigurationError(f"unknown currency mode {mode!r}; expected one of {CURRENCY_MODES}")
+    table = config.table_for(token.language)
     parsed = parse_amount_text(token.surface, table)
     if parsed is None:
         raise ReferenceDataError(f"currency token {token.surface!r} does not parse as an amount")
 
     # Verbatim recovery of the reference surface always counts.
     needle = tokenize(casefold_normalize(token.surface))
-    hyp_tokens = tokenize(casefold_normalize(hypothesis))
-    if _contains_token_seq(hyp_tokens, needle):
+    if _contains_token_seq(hyp.tokens, needle):
         return MatchResult(token.surface, "currency_amount", True, "surface recovered verbatim")
 
     digit_anchored = any("0" <= ch <= "9" for ch in nfkc_normalize(token.surface))
-    if mode == "strict" and not digit_anchored:
+    if config.currency_mode == "strict" and not digit_anchored:
         # The surface offers no Latin digits to compare, and strict mode
         # does not trust a word-level value for the reference.
         return MatchResult(token.surface, "currency_amount", False, "no digit anchor in strict mode")
 
     v_ref = parsed.value
     tolerance = v_ref * CURRENCY_TOLERANCE
-    for amount in parse_currency_expression(hypothesis, table):
+    for amount in _scan_amounts(hyp.tokens, table):
         if abs(amount.value - v_ref) <= tolerance:
             return MatchResult(
                 token.surface,
@@ -235,46 +234,40 @@ def match_currency(
     return MatchResult(token.surface, "currency_amount", False)
 
 
-def match_brand(token: EntityToken, hypothesis: str, aliases: AliasTable | None = None) -> MatchResult:
+def _match_brand(token: EntityToken, hyp: _Hypothesis, config: ScoringConfig) -> MatchResult:
     """Casefolded whole-token alias match ("Paytm" != "paytime")."""
-    group = aliases.lookup(token.surface) if aliases is not None else None
+    group = config.aliases.lookup(token.surface) if config.aliases is not None else None
     if group is None:
         logger.warning("brand %r has no alias entry; matching on its own surface only", token.surface)
         group = (casefold_normalize(token.surface),)
-    hyp_tokens = tokenize(casefold_normalize(hypothesis))
     for alias in group:
-        if _contains_token_seq(hyp_tokens, tokenize(alias)):
+        if _contains_token_seq(hyp.tokens, tokenize(alias)):
             return MatchResult(token.surface, "brand", True, f"alias {alias!r} present")
     return MatchResult(token.surface, "brand", False)
 
 
-def match_proper_noun(
-    token: EntityToken,
-    hypothesis: str,
-    threshold: float = 0.80,
-    window_slop: int = 1,
-) -> MatchResult:
-    """Token-set Jaccard >= threshold over k-1/k/k+1 hypothesis windows."""
+def _match_proper_noun(token: EntityToken, hyp: _Hypothesis, config: ScoringConfig) -> MatchResult:
+    """Token-set Jaccard >= JACCARD_THRESHOLD over k-1/k/k+1 hypothesis windows."""
     ref_set = set(tokenize(casefold_normalize(token.surface)))
     if not ref_set:
         raise ReferenceDataError(f"proper noun token {token.surface!r} has no comparable tokens")
-    hyp_tokens = tokenize(casefold_normalize(hypothesis))
+    hyp_tokens = hyp.tokens
     k = len(ref_set)
     best = 0.0
-    for width in range(max(1, k - window_slop), min(len(hyp_tokens), k + window_slop) + 1):
+    for width in range(max(1, k - WINDOW_SLOP), min(len(hyp_tokens), k + WINDOW_SLOP) + 1):
         for i in range(len(hyp_tokens) - width + 1):
             window = set(hyp_tokens[i : i + width])
             overlap = len(ref_set & window) / len(ref_set | window)
             best = max(best, overlap)
-    if best >= threshold:
+    if best >= JACCARD_THRESHOLD:
         return MatchResult(token.surface, "proper_noun", True, f"jaccard {best:.3f}")
     return MatchResult(token.surface, "proper_noun", False, f"best jaccard {best:.3f}")
 
 
-def _digit_sequence(text: str, table: MultiplierTable) -> str:
+def _digit_sequence(tokens: Iterable[str], table: MultiplierTable) -> str:
     # Unit words (0..99) and literal digit runs contribute; all else drops.
     out: list[str] = []
-    for tok in tokenize(casefold_normalize(text)):
+    for tok in tokens:
         if all("0" <= ch <= "9" for ch in tok):
             out.append(tok)
         else:
@@ -284,31 +277,38 @@ def _digit_sequence(text: str, table: MultiplierTable) -> str:
     return "".join(out)
 
 
-def match_spelled_digit(
-    token: EntityToken,
-    hypothesis: str,
-    table: MultiplierTable,
-    threshold: float = 0.80,
-) -> MatchResult:
-    """Digit-subsequence preservation: LCS ratio >= threshold."""
-    ref = _digit_sequence(token.surface, table)
+def _match_spelled_digit(token: EntityToken, hyp: _Hypothesis, config: ScoringConfig) -> MatchResult:
+    """Digit-subsequence preservation: LCS ratio >= LCS_THRESHOLD."""
+    table = config.table_for(token.language)
+    ref = _digit_sequence(tokenize(casefold_normalize(token.surface)), table)
     if not ref:
         raise ReferenceDataError(f"spelled digit token {token.surface!r} yields no digits")
-    hyp = _digit_sequence(hypothesis, table)
-    ratio = lcs_length(ref, hyp) / len(ref)
+    ratio = lcs_length(ref, _digit_sequence(hyp.tokens, table)) / len(ref)
     detail = f"lcs {ratio:.3f} over {ref}"
-    return MatchResult(token.surface, "spelled_digit", ratio >= threshold, detail)
+    return MatchResult(token.surface, "spelled_digit", ratio >= LCS_THRESHOLD, detail)
 
 
-def match_house_or_plot(token: EntityToken, hypothesis: str) -> MatchResult:
+def _match_house_or_plot(token: EntityToken, hyp: _Hypothesis, config: ScoringConfig) -> MatchResult:
     """Casefolded whole-token sequence match (identifiers like 8-2-293/82)."""
     needle = tokenize(casefold_normalize(token.surface))
     if not needle:
         raise ReferenceDataError(f"house/plot token {token.surface!r} has no comparable tokens")
-    hyp_tokens = tokenize(casefold_normalize(hypothesis))
-    if _contains_token_seq(hyp_tokens, needle):
+    if _contains_token_seq(hyp.tokens, needle):
         return MatchResult(token.surface, "house_or_plot", True, "token sequence present")
     return MatchResult(token.surface, "house_or_plot", False)
+
+
+_MATCHERS: Mapping[str, Callable[[EntityToken, _Hypothesis, ScoringConfig], MatchResult]] = {
+    "digit_run": _match_digit_run,
+    "pincode": _match_pincode,
+    "currency_amount": _match_currency,
+    "brand": _match_brand,
+    "proper_noun": _match_proper_noun,
+    "spelled_digit": _match_spelled_digit,
+    "house_or_plot": _match_house_or_plot,
+}
+
+MATCHER_CLASSES = tuple(_MATCHERS)
 
 
 # ---------------------------------------------------------------------------
@@ -322,11 +322,10 @@ class ScoringConfig:
     language: str = "en"
     currency_mode: str = "strict"
     aliases: AliasTable | None = None
-    jaccard_threshold: float = 0.80
-    lcs_threshold: float = 0.80
-    window_slop: int = 1
     tables: Mapping[str, MultiplierTable] = field(default_factory=dict)
-    merge_english_numbers: bool = True
+    _merged: dict[str, MultiplierTable] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if self.currency_mode not in CURRENCY_MODES:
@@ -335,12 +334,16 @@ class ScoringConfig:
             )
 
     def table_for(self, language: str | None) -> MultiplierTable:
+        """The language's number table, merged with English once and kept."""
         lang = language or self.language
-        table = self.tables.get(lang)
+        table = self._merged.get(lang)
         if table is None:
-            table = load_language_table(lang)
-        if self.merge_english_numbers and lang != "en":
-            table = table.merged_with(load_language_table("en"))
+            table = self.tables.get(lang)
+            if table is None:
+                table = load_language_table(lang)
+            if lang != "en":
+                table = table.merged_with(load_language_table("en"))
+            self._merged[lang] = table
         return table
 
 
@@ -349,33 +352,15 @@ def score_utterance(
     hypothesis: str,
     config: ScoringConfig | None = None,
 ) -> list[MatchResult]:
-    """Match every reference entity token against one hypothesis."""
+    """Match every reference entity token against one hypothesis.
+
+    This is the one entry point to the matchers. The hypothesis is
+    normalized at most once per form, however many tokens it is matched
+    against.
+    """
     config = config or ScoringConfig()
-    results = []
-    for token in tokens:
-        cls = token.matcher_class
-        if cls == "digit_run":
-            result = match_digit_run(token, hypothesis)
-        elif cls == "pincode":
-            result = match_pincode(token, hypothesis)
-        elif cls == "currency_amount":
-            result = match_currency(
-                token, hypothesis, config.table_for(token.language), config.currency_mode
-            )
-        elif cls == "brand":
-            result = match_brand(token, hypothesis, config.aliases)
-        elif cls == "proper_noun":
-            result = match_proper_noun(
-                token, hypothesis, config.jaccard_threshold, config.window_slop
-            )
-        elif cls == "spelled_digit":
-            result = match_spelled_digit(
-                token, hypothesis, config.table_for(token.language), config.lcs_threshold
-            )
-        else:
-            result = match_house_or_plot(token, hypothesis)
-        results.append(result)
-    return results
+    hyp = _Hypothesis(hypothesis)
+    return [_MATCHERS[token.matcher_class](token, hyp, config) for token in tokens]
 
 
 # ---------------------------------------------------------------------------

@@ -392,9 +392,12 @@ def parse_currency_expression(text: str, table: MultiplierTable) -> list[ParsedA
     Currency markers never change a value and act as transparent tokens.
     Spans index into the marker-filtered token sequence.
     """
-    toks = [
-        t for t in tokenize(casefold_normalize(text)) if t not in table.currency_markers
-    ]
+    return _scan_amounts(tokenize(casefold_normalize(text)), table)
+
+
+def _scan_amounts(tokens: Iterable[str], table: MultiplierTable) -> list[ParsedAmount]:
+    # The scan of parse_currency_expression over casefold-normalized tokens.
+    toks = [t for t in tokens if t not in table.currency_markers]
     amounts: list[ParsedAmount] = []
     i = 0
     while i < len(toks):
@@ -486,7 +489,8 @@ def rewrite_digit_runs(text: str, table: MultiplierTable, mode: str = "grouped")
     ``digit_by_digit`` emits one unit word per digit. Single digits become
     unit words in both modes. Runs with leading zeros ("054") are spelled
     digit by digit even in grouped mode, since their value would silently
-    drop the zeros.
+    drop the zeros. A grouped run of 10**12 or more cannot be spelled and
+    raises DataError.
     """
     if mode not in REWRITE_MODES:
         raise ConfigurationError(f"unknown rewrite mode {mode!r}; expected one of {REWRITE_MODES}")
@@ -495,6 +499,8 @@ def rewrite_digit_runs(text: str, table: MultiplierTable, mode: str = "grouped")
         run = match.group()
         if mode == "digit_by_digit" or len(run) == 1 or run[0] == "0":
             return " ".join(_spelling_word(table, int(d), "unit") for d in run)
+        if int(run) >= _SPELL_LIMIT:
+            raise DataError(f"digit run {run} is too long to spell in grouped mode")
         return " ".join(spell_number(int(run), table))
 
     return _DIGIT_RUN_RE.sub(replace, nfkc_normalize(text))

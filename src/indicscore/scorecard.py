@@ -15,7 +15,7 @@ from .corpus import HoldoutRow, Prediction
 from .distance import ErrorRate, cer, wer
 from .errors import ConfigurationError, DataError
 from .matchers import EhrReport, MatchResult, ScoringConfig, aggregate_ehr, score_utterance
-from .script import SfrResult, sfr
+from .script import SfrResult, aggregate_sfr, sfr
 from .textnorm import DEFAULT_NORM, NormConfig
 
 
@@ -81,8 +81,7 @@ def score_predictions(
 
     word_distance = word_total = 0
     char_distance = char_total = 0
-    letters = in_block = 0
-    pairs: list[tuple[str, bool]] = []
+    row_sfrs: list[SfrResult] = []
     details: list[UtteranceDetail] = []
     for row in matched:
         hypothesis = by_id[row.id].hypothesis
@@ -97,9 +96,7 @@ def score_predictions(
         word_total += row_wer.reference_length
         char_distance += row_cer.distance
         char_total += row_cer.reference_length
-        letters += row_sfr.letter_count
-        in_block += row_sfr.in_block_count
-        pairs.extend((r.matcher_class, r.hit) for r in results)
+        row_sfrs.append(row_sfr)
         details.append(
             UtteranceDetail(
                 id=row.id,
@@ -117,8 +114,8 @@ def score_predictions(
         n=len(matched),
         wer=ErrorRate(word_distance, word_total),
         cer=ErrorRate(char_distance, char_total),
-        sfr=SfrResult(letters, in_block),
-        ehr=aggregate_ehr(pairs),
+        sfr=aggregate_sfr(row_sfrs),
+        ehr=aggregate_ehr(m for detail in details for m in detail.matches),
         unmatched_row_ids=unmatched_rows,
         unmatched_prediction_ids=unmatched_predictions,
         currency_mode=config.currency_mode,
@@ -248,12 +245,6 @@ def render_verdict(verdict: DiagnosticVerdict) -> str:
 # Comparison
 # ---------------------------------------------------------------------------
 
-# Keys where a positive delta means the candidate got worse.
-_REGRESSION_METRICS = ("wer", "cer")
-# Keys where a positive delta means the candidate got better.
-_IMPROVEMENT_METRICS = ("sfr", "ehr_micro", "ehr_macro")
-
-
 def _metric_values(record: dict) -> dict[str, float | None]:
     return {
         "wer": record["wer"]["rate"],
@@ -269,14 +260,15 @@ def compare_records(baseline: dict, candidates: Sequence[dict]) -> list[dict]:
 
     Deltas are candidate minus baseline for every metric; positive means
     regression for WER/CER and improvement for SFR/EHR. Scorecards must
-    come from the same holdout and language.
+    come from the same holdout and language, scored with the same currency
+    mode and normalization.
     """
     if not candidates:
         raise ConfigurationError("nothing to compare: no candidate scorecards")
     base_values = _metric_values(baseline)
     out: list[dict] = []
     for record in candidates:
-        for key in ("holdout", "language"):
+        for key in ("holdout", "language", "currency_mode", "normalization"):
             if record.get(key) != baseline.get(key):
                 raise DataError(
                     f"cannot compare scorecards: {key} {record.get(key)!r}"

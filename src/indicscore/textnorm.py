@@ -53,18 +53,6 @@ def tokenize(text: str, *, strip_edge_punctuation: bool = True) -> list[str]:
 
 
 @dataclass(frozen=True)
-class NormalizedText:
-    """A raw string together with its canonical normalized form."""
-
-    raw: str
-    normalized: str
-
-    @classmethod
-    def from_raw(cls, raw: str) -> "NormalizedText":
-        return cls(raw=raw, normalized=collapse_whitespace(nfkc_normalize(raw)))
-
-
-@dataclass(frozen=True)
 class NormConfig:
     """Normalization applied to reference and hypothesis before WER/CER.
 

@@ -18,13 +18,7 @@ import test_matchers as matcher_suite
 from indicscore.cli import main as cli_main
 from indicscore.corpus import ManifestRow, save_manifest
 from indicscore.distance import levenshtein
-from indicscore.matchers import (
-    EntityToken,
-    aggregate_ehr,
-    match_currency,
-    match_proper_noun,
-    match_spelled_digit,
-)
+from indicscore.matchers import EntityToken, ScoringConfig, aggregate_ehr, score_utterance
 from indicscore.numbers import (
     ENGLISH_TABLE,
     load_language_table,
@@ -84,15 +78,17 @@ def test_criterion_02_currency_forms_are_equivalent():
     assert all(v == Fraction(500000) for v in values), values
 
     digit_anchored = {"500000", "₹5,00,000", "5 lakh"}
+    strict = ScoringConfig(language="en", currency_mode="strict")
+    wide = ScoringConfig(language="en", currency_mode="bidirectional")
     for ref, hyp in itertools.product(forms, forms):
         tok = EntityToken(surface=ref, matcher_class="currency_amount")
-        assert match_currency(tok, hyp, ENGLISH_TABLE, "bidirectional").hit, (ref, hyp)
+        assert score_utterance([tok], hyp, wide)[0].hit, (ref, hyp)
         if ref in digit_anchored:
-            assert match_currency(tok, hyp, ENGLISH_TABLE, "strict").hit, (ref, hyp)
+            assert score_utterance([tok], hyp, strict)[0].hit, (ref, hyp)
 
     tok = EntityToken(surface="₹5,00,000", matcher_class="currency_amount")
-    assert match_currency(tok, "rupees 502500", ENGLISH_TABLE, "strict").hit
-    assert not match_currency(tok, "rupees 502501", ENGLISH_TABLE, "strict").hit
+    assert score_utterance([tok], "rupees 502500", strict)[0].hit
+    assert not score_utterance([tok], "rupees 502501", strict)[0].hit
     report(2, "four written forms of 5,00,000 cross-match at ±0.5% (502501 excluded)")
 
 
@@ -172,16 +168,17 @@ def test_criterion_06_matcher_boundary_suite():
     for rule in ("digit", "pincode", "currency", "brand", "proper", "spelled", "house"):
         assert rule in covered, f"no boundary case for {rule}"
 
-    jaccard = match_proper_noun(
-        EntityToken(surface="rajiv gandhi international airport", matcher_class="proper_noun"),
+    jaccard = score_utterance(
+        [EntityToken(surface="rajiv gandhi international airport", matcher_class="proper_noun")],
         "rajiv gandhi international new airport",
-    )
+        ScoringConfig(),
+    )[0]
     assert jaccard.hit and "0.800" in jaccard.detail
-    lcs = match_spelled_digit(
-        EntityToken(surface="54235", matcher_class="spelled_digit"),
+    lcs = score_utterance(
+        [EntityToken(surface="54235", matcher_class="spelled_digit")],
         "five four two three",
-        ENGLISH_TABLE,
-    )
+        ScoringConfig(language="en"),
+    )[0]
     assert lcs.hit and "0.800" in lcs.detail
     report(6, f"{len(cases)} boundary cases over all 7 rules; Jaccard 0.80 and LCS 0.80 both hit")
 

@@ -132,6 +132,20 @@ def test_score_missing_file_exits_2(holdout_path):
     assert run("score", "--holdout", holdout_path, "--predictions", "/no/such.jsonl", "--lang", "te") == 2
 
 
+def test_score_non_utf8_holdout_exits_2(tmp_path, preds_path, capsys):
+    bad = tmp_path / "latin1.jsonl"
+    bad.write_bytes(json.dumps({"id": "u1", "text": "café"}, ensure_ascii=False).encode("latin-1") + b"\n")
+    code = run("score", "--holdout", str(bad), "--predictions", preds_path, "--lang", "te")
+    assert code == 2
+    assert "line 1: not valid UTF-8" in capsys.readouterr().err
+
+
+def test_score_directory_as_holdout_exits_2(tmp_path, preds_path, capsys):
+    code = run("score", "--holdout", str(tmp_path), "--predictions", preds_path, "--lang", "te")
+    assert code == 2
+    assert "data error" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_1(capsys):
     assert run("score", "--holdout", "x") == 1
     assert run("nonsense") == 1
@@ -249,6 +263,34 @@ def test_compare_invalid_json_exit_2(tmp_path, capsys):
     bad.write_text("{", encoding="utf-8")
     assert run("compare", "--baseline", str(bad), str(bad)) == 2
     capsys.readouterr()
+
+
+def test_compare_non_object_metrics_exit_2(tmp_path, capsys):
+    flat = tmp_path / "flat.json"
+    flat.write_text(
+        json.dumps({"holdout": "h", "language": "te", "wer": 0.1, "cer": 0.1, "sfr": 0.9, "ehr": 0.5}),
+        encoding="utf-8",
+    )
+    assert run("compare", "--baseline", str(flat), str(flat)) == 2
+    assert "wer.rate" in capsys.readouterr().err
+
+
+def test_compare_refuses_other_currency_mode_or_normalization(tmp_path, holdout_path, preds_path, capsys):
+    cards = {}
+    for name, flags in (
+        ("base", ()),
+        ("wide", ("--currency-mode", "bidirectional")),
+        ("strict_norm", ("--normalization", "strict")),
+    ):
+        cards[name] = tmp_path / f"{name}.json"
+        assert run(
+            "score", "--holdout", holdout_path, "--predictions", preds_path, "--lang", "te",
+            "--out", str(cards[name]), "--detail", str(tmp_path / "d.jsonl"), *flags,
+        ) == 0
+    capsys.readouterr()
+    for name, key in (("wide", "currency_mode"), ("strict_norm", "normalization")):
+        assert run("compare", "--baseline", str(cards["base"]), str(cards[name])) == 2
+        assert key in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -379,3 +421,11 @@ def test_pipeline_rewrite_digits(tmp_path, jsonl_writer, capsys):
     out_rows = [json.loads(l) for l in spoken.read_text(encoding="utf-8").splitlines()]
     assert out_rows[1]["text"] == "పిన్ ఐదు సున్నా సున్నా సున్నా ఎనిమిది ఒకటి పంపు"
     capsys.readouterr()
+
+
+def test_pipeline_rewrite_grouped_13_digits_exits_2(tmp_path, jsonl_writer, capsys):
+    rows = [{"id": "d1", "text": "ఖాతా 1234567890123 సరే", "language": "te", "corpus_class": "digits"}]
+    manifest = jsonl_writer("long.jsonl", rows)
+    code = run("pipeline", "rewrite-digits", "--manifest", manifest, "--out", str(tmp_path / "o.jsonl"))
+    assert code == 2
+    assert "row 'd1'" in capsys.readouterr().err

@@ -6,16 +6,11 @@ from conftest import make_manifest_row
 from indicscore.corpus import (
     CLASS_TO_MATCHER,
     CORPUS_CLASSES,
-    EntityRecord,
     HoldoutRow,
     ValidationConfig,
-    dedup_rows,
-    holdout_sfr,
-    load_entity_dictionary,
     load_holdout,
     load_manifest,
     load_predictions,
-    save_holdout,
     save_manifest,
     validate_corpus_row,
     with_status,
@@ -132,7 +127,8 @@ def test_load_holdout_skips_blank_lines(tmp_path):
     assert len(load_holdout(str(path))) == 2
 
 
-def test_holdout_round_trip(jsonl_writer, tmp_path):
+def test_holdout_round_trip(jsonl_writer):
+    # a written holdout record loads back as the row it describes
     rows = load_holdout(
         jsonl_writer(
             "h.jsonl",
@@ -148,11 +144,16 @@ def test_holdout_round_trip(jsonl_writer, tmp_path):
             ],
         )
     )
-    out = tmp_path / "out.jsonl"
-    save_holdout(out, rows)
-    assert load_holdout(out) == rows
-    # non-ascii stays readable on disk
-    assert "పిన్" in out.read_text(encoding="utf-8")
+    assert rows == [
+        HoldoutRow(
+            id="u1",
+            text="పిన్ 500081",
+            audio_path="wav/u1.wav",
+            entity_tokens=(EntityToken(surface="500081", matcher_class="digit_run", language="te"),),
+            entity_class="digits",
+            language="te",
+        )
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +237,16 @@ def test_manifest_round_trip_omits_null_fields(tmp_path):
     assert load_manifest(path) == rows
 
 
+def test_manifest_round_trip_keeps_unicode_line_separators(tmp_path):
+    # JSON leaves U+2028, U+2029 and U+0085 unescaped; they are not line ends
+    rows = [make_manifest_row(1, text="ఇది ఒక\u2028వాక్యం\u0085ఉంది\u2029సరే"), make_manifest_row(2)]
+    path = tmp_path / "m.jsonl"
+    save_manifest(path, rows)
+    on_disk = path.read_text(encoding="utf-8")
+    assert "\u2028" in on_disk and "ఇది" in on_disk
+    assert load_manifest(path) == rows
+
+
 def test_manifest_rows_keep_entity_tokens(tmp_path, jsonl_writer):
     path = jsonl_writer(
         "m.jsonl",
@@ -268,29 +279,6 @@ def test_with_status_moves_forward_only():
     with pytest.raises(DataError):
         with_status(row, "done")
     assert with_status(row, "pending") == row  # no-op is fine
-
-
-# ---------------------------------------------------------------------------
-# Entity dictionary
-# ---------------------------------------------------------------------------
-
-def test_load_entity_dictionary(jsonl_writer):
-    path = jsonl_writer(
-        "e.jsonl",
-        [
-            {"surface": "Paytm", "aliases": ["paytm", "పేటీఎం"]},
-            {"surface": "Swiggy"},
-        ],
-    )
-    records = load_entity_dictionary(path)
-    assert records[0] == EntityRecord(surface="Paytm", aliases=("paytm", "పేటీఎం"))
-    assert records[1].aliases == ()
-
-
-def test_load_entity_dictionary_validates(jsonl_writer):
-    path = jsonl_writer("e.jsonl", [{"surface": "X", "aliases": "paytm"}])
-    with pytest.raises(DataError):
-        load_entity_dictionary(path)
 
 
 # ---------------------------------------------------------------------------
@@ -364,36 +352,6 @@ def test_validation_config_thresholds():
     row = HoldoutRow(id="u1", text="ఒకటి రెండు మూడు నాలుగア", language="te")
     strict = ValidationConfig(min_tokens=1, purity_threshold=1.0)
     assert "script_purity" in [v.kind for v in validate_corpus_row(row, config=strict)]
-
-
-# ---------------------------------------------------------------------------
-# Dedup and pooled SFR
-# ---------------------------------------------------------------------------
-
-def test_dedup_rows_casefold_whitespace():
-    rows = [
-        HoldoutRow(id="a", text="Pay  ₹500 Now"),
-        HoldoutRow(id="b", text="pay ₹500 now"),
-        HoldoutRow(id="c", text="pay ₹501 now"),
-    ]
-    kept = dedup_rows(rows)
-    assert [r.id for r in kept] == ["a", "c"]
-
-
-def test_dedup_rows_custom_key():
-    rows = [make_manifest_row(1), make_manifest_row(2)]
-    assert len(dedup_rows(rows, key=lambda r: r.text)) == 1
-    assert len(dedup_rows(rows, key=lambda r: r.id)) == 2
-
-
-def test_holdout_sfr_pools():
-    rows = [
-        HoldoutRow(id="a", text="నమస్కారం"),
-        HoldoutRow(id="b", text="123"),
-    ]
-    pooled = holdout_sfr(rows, "te")
-    assert pooled.value == 1.0
-    assert holdout_sfr([HoldoutRow(id="c", text="42")], "te").value is None
 
 
 def test_corpus_class_inventory():

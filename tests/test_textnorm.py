@@ -8,7 +8,6 @@ from indicscore.errors import ConfigurationError
 from indicscore.textnorm import (
     DEFAULT_NORM,
     STRICT_NORM,
-    NormalizedText,
     NormConfig,
     casefold_normalize,
     collapse_whitespace,
@@ -45,13 +44,6 @@ def test_casefold_handles_compatibility_forms():
 
 def test_collapse_whitespace():
     assert collapse_whitespace("  a\t b\n\nc ") == "a b c"
-
-
-def test_normalized_text_keeps_raw():
-    # normalized form is NFKC + collapsed whitespace; case is preserved
-    nt = NormalizedText.from_raw("  Hello ５  ")
-    assert nt.raw == "  Hello ５  "
-    assert nt.normalized == "Hello 5"
 
 
 def test_norm_config_labels():
