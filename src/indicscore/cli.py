@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 
 from . import corpus, pipeline, scorecard
-from .errors import ConfigurationError, DataError
+from .errors import ConfigurationError, DataError, read_utf8
 from .matchers import AliasTable, ScoringConfig
 from .numbers import load_language_table, load_lexicon, rewrite_digit_runs
 from .script import LANGUAGES, aggregate_sfr, sfr
@@ -174,7 +174,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
             raise ConfigurationError(f"--sfr {option!r}: {raw!r} is not a number") from None
     for option in args.transcripts or ():
         name, path = _parse_named_value(option)
-        lines = [l for l in Path(path).read_text(encoding="utf-8").splitlines() if l.strip()]
+        lines = [l for l in read_utf8(path).splitlines() if l.strip()]
         if not lines:
             raise DataError(f"transcript file {path} is empty")
         pooled = aggregate_sfr(sfr(line, args.lang) for line in lines).value
@@ -210,7 +210,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
 
 def _load_scorecard_record(path: str) -> dict:
     try:
-        record = json.loads(Path(path).read_text(encoding="utf-8"))
+        record = json.loads(read_utf8(path))
     except json.JSONDecodeError as exc:
         raise DataError(f"scorecard {path} is not valid JSON ({exc.msg})") from exc
     try:

@@ -9,19 +9,51 @@ from .errors import DataError
 from .textnorm import DEFAULT_NORM, NormConfig, normalize_for_scoring, tokens_for_scoring
 
 
+def _position_masks(pattern: Sequence) -> dict:
+    """Map each element of ``pattern`` to a bitmask of the positions it occupies."""
+    masks: dict = {}
+    bit = 1
+    for x in pattern:
+        masks[x] = masks.get(x, 0) | bit
+        bit <<= 1
+    return masks
+
+
 def levenshtein(a: Sequence, b: Sequence) -> int:
-    """Unit-cost edit distance between two sequences (two-row DP)."""
+    """Unit-cost edit distance between two sequences.
+
+    Bit-parallel global edit distance (Myers 1999, in Hyyrö 2003's form):
+    the shorter sequence is the pattern, held as the bits of Python ints,
+    and each element of the longer one advances a whole DP column in a few
+    big-int operations, O(ceil(m/w) * n) word operations in all. Elements
+    are compared by hash and equality, so they must be hashable: the
+    characters of a ``str`` and the ``str`` tokens of ``wer`` both are.
+    """
     if len(a) < len(b):
         a, b = b, a
-    if not b:
+    m = len(b)
+    if not m:
         return len(a)
-    prev = list(range(len(b) + 1))
-    for i, x in enumerate(a, 1):
-        cur = [i] + [0] * len(b)
-        for j, y in enumerate(b, 1):
-            cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (x != y))
-        prev = cur
-    return prev[-1]
+    peq = _position_masks(b)
+    mask = (1 << m) - 1
+    top = 1 << (m - 1)
+    pv, mv, score = mask, 0, m
+    for x in a:
+        eq = peq.get(x, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & top:
+            score += 1
+        elif mh & top:
+            score -= 1
+        # Row 0 is D[0][j] = j, so a +1 horizontal delta shifts in at the top.
+        ph = ((ph << 1) | 1) & mask
+        mh = (mh << 1) & mask
+        pv = (mh | ~(xv | ph)) & mask
+        mv = ph & xv
+    return score
 
 
 @dataclass(frozen=True)

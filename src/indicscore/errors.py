@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the UTF-8 text read that
+reports a bad byte as a DataError naming the file and line."""
+
+from __future__ import annotations
+
+from pathlib import Path
 
 
 class ConfigurationError(ValueError):
@@ -21,3 +26,17 @@ class DataError(ValueError):
 
 class ReferenceDataError(DataError):
     """A reference entity token is unusable for its declared matcher class."""
+
+
+def read_utf8(path: str | Path) -> str:
+    """Read a whole text file as UTF-8.
+
+    A byte that is not UTF-8 raises DataError naming the file and the
+    1-based line it sits on, lines ending at each newline byte.
+    """
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path}: line {line}: not valid UTF-8") from None

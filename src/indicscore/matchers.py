@@ -41,7 +41,8 @@ from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import ConfigurationError, ReferenceDataError
+from .distance import _position_masks
+from .errors import ConfigurationError, ReferenceDataError, read_utf8
 from .numbers import MultiplierTable, _scan_amounts, load_language_table, parse_amount_text
 from .textnorm import casefold_normalize, nfkc_normalize, tokenize
 
@@ -120,7 +121,7 @@ class AliasTable:
     def from_file(cls, path: str | Path) -> "AliasTable":
         """Load a tab-separated alias file: canonical brand, then aliases."""
         groups = []
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
+        for line in read_utf8(path).splitlines():
             line = line.rstrip()
             if not line or line.startswith("#"):
                 continue
@@ -165,18 +166,24 @@ def _contains_token_seq(haystack: Sequence[str], needle: Sequence[str]) -> bool:
 
 
 def lcs_length(a: Sequence, b: Sequence) -> int:
-    """Length of the longest common subsequence (two-row DP)."""
+    """Length of the longest common subsequence of two sequences.
+
+    Bit-parallel LCS (Allison and Dix 1986, in Hyyrö 2004's form): the
+    shorter sequence is the pattern, and each element of the longer one
+    updates all pattern positions in a few big-int operations. Elements
+    must be hashable.
+    """
     if len(a) < len(b):
         a, b = b, a
     if not b:
         return 0
-    prev = [0] * (len(b) + 1)
+    peq = _position_masks(b)
+    mask = (1 << len(b)) - 1
+    v = mask
     for x in a:
-        cur = [0]
-        for j, y in enumerate(b, 1):
-            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1]))
-        prev = cur
-    return prev[-1]
+        u = v & peq.get(x, 0)
+        v = ((v + u) | (v - u)) & mask
+    return (~v & mask).bit_count()
 
 
 # ---------------------------------------------------------------------------

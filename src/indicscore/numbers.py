@@ -31,7 +31,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ConfigurationError, DataError
+from .errors import ConfigurationError, DataError, read_utf8
 from .textnorm import casefold_normalize, nfkc_normalize, tokenize
 
 _CRORE = 10**7
@@ -192,7 +192,7 @@ def load_lexicon(path: str | Path, language: str | None = None) -> MultiplierTab
     path = Path(path)
     entries: list[tuple[str, int, str, str]] = []
     problems: list[str] = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_utf8(path).splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue

@@ -1,14 +1,14 @@
 """Script fidelity rate: how much of a transcript stays in the expected script.
 
-SFR counts Unicode letters (general category L*) and reports the fraction
-that fall inside the language's script block. Combining marks (Mn/Mc) are
-not letters and are excluded from both counts so the rate reflects base
-characters only. Digits and punctuation never affect the rate.
+SFR counts Unicode letters (general category L*, which is exactly what
+``str.isalpha`` tests) and reports the fraction that fall inside the
+language's script block. Combining marks (Mn/Mc) are not letters and are
+excluded from both counts so the rate reflects base characters only.
+Digits and punctuation never affect the rate.
 """
 
 from __future__ import annotations
 
-import unicodedata
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -52,7 +52,7 @@ def sfr(hypothesis: str, language: str) -> SfrResult:
     lo, hi = script_block(language)
     letters = in_block = 0
     for ch in hypothesis:
-        if unicodedata.category(ch).startswith("L"):
+        if ch.isalpha():
             letters += 1
             if lo <= ord(ch) <= hi:
                 in_block += 1

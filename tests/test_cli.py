@@ -140,6 +140,15 @@ def test_score_non_utf8_holdout_exits_2(tmp_path, preds_path, capsys):
     assert "line 1: not valid UTF-8" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option", ["--aliases", "--lexicon"])
+def test_score_non_utf8_side_file_names_file_and_line(tmp_path, holdout_path, preds_path, option, capsys):
+    bad = tmp_path / "side.tsv"
+    bad.write_bytes(b"# header\ncaf\xe9\tcafe\n")
+    code = run("score", "--holdout", holdout_path, "--predictions", preds_path, "--lang", "te", option, str(bad))
+    assert code == 2
+    assert f"{bad}: line 2: not valid UTF-8" in capsys.readouterr().err
+
+
 def test_score_directory_as_holdout_exits_2(tmp_path, preds_path, capsys):
     code = run("score", "--holdout", str(tmp_path), "--predictions", preds_path, "--lang", "te")
     assert code == 2
@@ -187,6 +196,16 @@ def test_diagnose_from_transcripts(tmp_path, capsys):
     assert "clean: SFR 1.000 (ok)" in out
     assert "noisy: SFR 0.000 (below)" in out
     assert "contraindicated" in out  # only one holdout is below
+
+
+def test_diagnose_non_utf8_transcripts_names_file_and_line(tmp_path, capsys):
+    te = tmp_path / "te.txt"
+    te.write_text("నమస్కారం\n", encoding="utf-8")
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes("hello\ncafé\n".encode("latin-1"))
+    code = run("diagnose", "--lang", "te", "--transcripts", f"a={te}", "--transcripts", f"b={bad}")
+    assert code == 2
+    assert f"{bad}: line 2: not valid UTF-8" in capsys.readouterr().err
 
 
 def test_diagnose_single_holdout_exits_1(capsys):
@@ -263,6 +282,13 @@ def test_compare_invalid_json_exit_2(tmp_path, capsys):
     bad.write_text("{", encoding="utf-8")
     assert run("compare", "--baseline", str(bad), str(bad)) == 2
     capsys.readouterr()
+
+
+def test_compare_non_utf8_scorecard_names_file_and_line(tmp_path, capsys):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes('{\n"holdout": "café"}\n'.encode("latin-1"))
+    assert run("compare", "--baseline", str(bad), str(bad)) == 2
+    assert f"{bad}: line 2: not valid UTF-8" in capsys.readouterr().err
 
 
 def test_compare_non_object_metrics_exit_2(tmp_path, capsys):

@@ -2,7 +2,7 @@ import functools
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from indicscore.distance import ErrorRate, cer, levenshtein, wer
@@ -23,6 +23,26 @@ def oracle_levenshtein(a, b):
         return min(rec(i - 1, j) + 1, rec(i, j - 1) + 1, rec(i - 1, j - 1) + cost)
 
     return rec(len(a), len(b))
+
+
+def dp_levenshtein(a, b):
+    """Two-row dynamic program, the reference for inputs of any length."""
+    prev = list(range(len(b) + 1))
+    for i, x in enumerate(a, 1):
+        cur = [i] + [0] * len(b)
+        for j, y in enumerate(b, 1):
+            cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (x != y))
+        prev = cur
+    return prev[-1]
+
+
+# Telugu letters, vowel signs (Mn/Mc) and the virama, plus a space.
+TELUGU_CHARS = st.characters(min_codepoint=0x0C00, max_codepoint=0x0C7F) | st.just(" ")
+TELUGU_POOL = "అఆకగచటతనపమయరలవసహ ాిీుూెేైొోౌ్ంః"
+# Few distinct tokens, so lists repeat them; most are several characters.
+TOKENS = st.sampled_from(["a", "ab", "ba", "abc", "పిన్", "కోడ్", "500081"])
+# Pattern lengths on both sides of CPython's 30-bit int digits and of 64 bits.
+DIGIT_BOUNDARY_LENGTHS = [1, 29, 30, 31, 59, 60, 61, 63, 64, 65, 129]
 
 
 def test_kitten_sitting():
@@ -52,6 +72,61 @@ def test_matches_oracle_on_random_pairs():
 @given(st.text(alphabet="abcd", max_size=8), st.text(alphabet="abcd", max_size=8))
 def test_matches_oracle_property(a, b):
     assert levenshtein(a, b) == oracle_levenshtein(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["ab", "abc", "abcd"]).flatmap(
+        lambda alphabet: st.tuples(st.text(alphabet, max_size=300), st.text(alphabet, max_size=300))
+    )
+)
+def test_matches_dp_on_long_small_alphabet_strings(pair):
+    a, b = pair
+    assert levenshtein(a, b) == dp_levenshtein(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.text(TELUGU_CHARS, max_size=300), st.text(TELUGU_CHARS, max_size=300))
+def test_matches_dp_on_long_telugu_strings(a, b):
+    assert levenshtein(a, b) == dp_levenshtein(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(TOKENS, max_size=150), st.lists(TOKENS, max_size=150))
+def test_matches_dp_on_repeated_multichar_tokens(a, b):
+    assert levenshtein(a, b) == dp_levenshtein(a, b)
+
+
+def test_multichar_tokens_compare_whole():
+    assert levenshtein(["ab", "ab", "ab"], ["ab", "ab"]) == 1
+    assert levenshtein(["ab", "ba"], ["ba", "ab"]) == 2
+    assert levenshtein(["abc"], ["ab", "c"]) == 2
+
+
+@pytest.mark.parametrize("m", DIGIT_BOUNDARY_LENGTHS)
+def test_pattern_lengths_at_int_digit_boundaries(m):
+    rng = random.Random(m)
+    for alphabet in ("ab", "abcd", TELUGU_POOL):
+        pattern = "".join(rng.choice(alphabet) for _ in range(m))
+        edited = list(pattern)
+        for _ in range(max(1, m // 10)):
+            edited[rng.randrange(m)] = rng.choice(alphabet)
+        texts = [
+            pattern,
+            pattern[::-1],
+            "".join(edited),
+            pattern + "".join(rng.choice(alphabet) for _ in range(m + 3)),
+            "".join(rng.choice(alphabet) for _ in range(2 * m + 1)),
+            "".join(rng.choice(alphabet) for _ in range(max(0, m - 2))),
+            alphabet[0] * (m + 5),
+            "",
+        ]
+        for text in texts:
+            expected = dp_levenshtein(pattern, text)
+            assert levenshtein(pattern, text) == expected, (pattern, text)
+            assert levenshtein(text, pattern) == expected, (text, pattern)
+    assert levenshtein("a" * m, "a" * (m + 7)) == 7
+    assert levenshtein("a" * m, "b" * m) == m
 
 
 @given(st.text(max_size=30), st.text(max_size=30))

@@ -1,7 +1,7 @@
 import logging
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from indicscore.errors import ConfigurationError, ReferenceDataError
@@ -416,3 +416,24 @@ def test_lcs_length_basic():
     assert lcs_length("abc", "xyz") == 0
     assert lcs_length("", "abc") == 0
     assert lcs_length("abcde", "abcde") == 5
+
+
+def dp_lcs_length(a, b):
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        cur = [0]
+        for j, y in enumerate(b, 1):
+            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1]))
+        prev = cur
+    return prev[-1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(["01", "0123456789", "ab"]).flatmap(
+        lambda alphabet: st.tuples(st.text(alphabet, max_size=150), st.text(alphabet, max_size=150))
+    )
+)
+def test_lcs_length_matches_dp(pair):
+    a, b = pair
+    assert lcs_length(a, b) == lcs_length(b, a) == dp_lcs_length(a, b)

@@ -1,4 +1,6 @@
 import random
+import sys
+import unicodedata
 
 import pytest
 from hypothesis import given
@@ -45,6 +47,17 @@ def test_sfr_counts_letters_only():
     base = sfr(TELUGU, "te")
     noisy = sfr(TELUGU + " 123 !!! ₹₹ 456", "te")
     assert noisy == base
+
+
+def test_isalpha_is_the_letter_category_on_every_code_point():
+    # sfr counts letters with str.isalpha; this pins it to general category
+    # L* for the interpreter's own UCD version.
+    differ = [
+        cp
+        for cp in range(sys.maxunicode + 1)
+        if chr(cp).isalpha() != unicodedata.category(chr(cp)).startswith("L")
+    ]
+    assert differ == [], f"UCD {unicodedata.unidata_version}"
 
 
 def test_sfr_excludes_combining_marks_from_both_counts():
