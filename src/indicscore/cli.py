@@ -14,15 +14,18 @@ All output is deterministic: the same inputs produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import io
 import json
 import logging
+import os
 import sys
+from collections import Counter
 from pathlib import Path
 
-from . import corpus, pipeline, scorecard
+from . import corpus, scorecard
 from .errors import ConfigurationError, DataError, read_utf8
 from .matchers import AliasTable, ScoringConfig
 from .numbers import load_language_table, load_lexicon, rewrite_digit_runs
@@ -251,6 +254,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------------
 # pipeline
+#
+# The verbs that need the pipeline module import it themselves, so that
+# score, diagnose and compare neither load nor compile it.
 # ---------------------------------------------------------------------------
 
 def _parse_weights(raw: str) -> dict[str, float]:
@@ -264,73 +270,119 @@ def _parse_weights(raw: str) -> dict[str, float]:
     return weights
 
 
+@contextlib.contextmanager
+def _reading(manifest: str):
+    """Yield the rows of ``manifest``.
+
+    When the block raises, the rest of the manifest is still read, so that
+    a malformed manifest is the error reported, as it was when a verb
+    loaded the whole file before acting on any row. A verb checks its
+    options inside this block but before it opens its outputs.
+    """
+    rows = corpus.read_manifest(manifest)
+    try:
+        yield rows
+    except (ValueError, OSError):  # DataError and ConfigurationError are ValueErrors
+        for _ in rows:
+            pass
+        raise
+
+
 def cmd_pipeline_route(args: argparse.Namespace) -> int:
-    rows = corpus.load_manifest(args.manifest)
-    policy_kwargs: dict = {"seed": args.seed}
-    if args.weights:
-        weights = _parse_weights(args.weights)
-        policy_kwargs["weights"] = weights
-        # a bucket-relabel rule is vacuous once its bucket has no weight
-        policy_kwargs["overrides"] = tuple(
-            rule
-            for rule in pipeline.DEFAULT_OVERRIDES
-            if rule.bucket is None or rule.bucket in weights
-        )
-    policy = pipeline.RouterPolicy(**policy_kwargs)
-    routed = pipeline.route_rows(rows, policy)
-    corpus.save_manifest(args.out, routed)
-    print(pipeline.render_distribution_table(routed))
+    from . import pipeline
+
+    counts: Counter = Counter()
+    with _reading(args.manifest) as rows:
+        policy_kwargs: dict = {"seed": args.seed}
+        if args.weights:
+            weights = _parse_weights(args.weights)
+            policy_kwargs["weights"] = weights
+            # a bucket-relabel rule is vacuous once its bucket has no weight
+            policy_kwargs["overrides"] = tuple(
+                rule
+                for rule in pipeline.DEFAULT_OVERRIDES
+                if rule.bucket is None or rule.bucket in weights
+            )
+        policy = pipeline.RouterPolicy(**policy_kwargs)
+        with corpus.manifest_writers(args.out) as (out,):
+            for row in rows:
+                routed = pipeline.route_row(row, policy)
+                out.write(routed)
+                counts[pipeline.synth_key(routed)] += 1
+    print(pipeline.render_distribution(counts))
     return EXIT_OK
 
 
 def cmd_pipeline_filter(args: argparse.Namespace) -> int:
-    rows = corpus.load_manifest(args.manifest)
-    result = pipeline.apply_cer_filter(rows, args.threshold)
-    corpus.save_manifest(args.out, result.accepted)
-    if args.rejected:
-        corpus.save_manifest(args.rejected, result.rejected)
+    from . import pipeline
+
+    rejected_count = 0
+    outs = corpus.manifest_writers(args.out, args.rejected)
+    with _reading(args.manifest) as rows, outs as (accepted, rejected):
+        for passed, row in pipeline.gate_rows(rows, args.threshold):
+            if passed:
+                accepted.write(row)
+                continue
+            rejected_count += 1
+            if rejected is not None:
+                rejected.write(row)
     print(
-        f"accepted {len(result.accepted)}  rejected {len(result.rejected)}"
+        f"accepted {accepted.count}  rejected {rejected_count}"
         f"  (threshold {format_value(args.threshold)})"
     )
     return EXIT_OK
 
 
 def cmd_pipeline_split(args: argparse.Namespace) -> int:
-    rows = corpus.load_manifest(args.manifest)
-    result = pipeline.split_heldout(rows)
-    corpus.save_manifest(args.out_train, result.train)
-    corpus.save_manifest(args.out_heldout, result.heldout)
-    print(f"train {len(result.train)}  heldout {len(result.heldout)}")
-    print(pipeline.render_distribution_table(list(rows)))
+    from . import pipeline
+
+    counts: Counter = Counter()
+    outs = corpus.manifest_writers(args.out_train, args.out_heldout)
+    with _reading(args.manifest) as rows, outs as (train, heldout):
+        for held, row in pipeline.split_rows(rows):
+            (heldout if held else train).write(row)
+            counts[pipeline.synth_key(row)] += 1
+    print(f"train {train.count}  heldout {heldout.count}")
+    print(pipeline.render_distribution(counts))
     return EXIT_OK
 
 
 def cmd_pipeline_balance(args: argparse.Namespace) -> int:
-    rows = corpus.load_manifest(args.manifest)
-    balanced = pipeline.class_balance(rows, args.per_class, args.seed)
-    corpus.save_manifest(args.out, balanced)
-    kept: dict[str, int] = {}
-    for row in balanced:
-        kept[row.corpus_class] = kept.get(row.corpus_class, 0) + 1
+    from . import pipeline
+
+    # Two reads of the manifest: ids and classes pick the rows, then the
+    # picked rows are copied in input order.
+    kept: Counter = Counter()
+    total = 0
+    with _reading(args.manifest) as rows:
+        selected = pipeline.balanced_ids(rows, args.per_class, args.seed)
+        if not os.path.isfile(args.manifest):
+            raise DataError(f"balance reads its manifest twice; {args.manifest} is not a regular file")
+        with corpus.manifest_writers(args.out) as (out,):
+            for row in corpus.read_manifest(args.manifest):
+                total += 1
+                if row.id in selected:
+                    out.write(row)
+                    kept[row.corpus_class] += 1
     for corpus_class in sorted(kept):
         print(f"{corpus_class}: {kept[corpus_class]}")
-    print(f"kept {len(balanced)} of {len(rows)} rows")
+    print(f"kept {out.count} of {total} rows")
     return EXIT_OK
 
 
 def cmd_pipeline_validate(args: argparse.Namespace) -> int:
-    rows = corpus.load_manifest(args.manifest)
     config = corpus.ValidationConfig(purity_threshold=args.purity_threshold)
     records = []
-    clean = 0
-    for row in rows:
-        violations = corpus.validate_corpus_row(row, config=config)
-        if not violations:
-            clean += 1
-            continue
-        for violation in violations:
-            records.append({"id": row.id, "kind": violation.kind, "detail": violation.detail})
+    clean = total = 0
+    with _reading(args.manifest) as rows:
+        for row in rows:
+            total += 1
+            violations = corpus.validate_corpus_row(row, config=config)
+            if not violations:
+                clean += 1
+                continue
+            for violation in violations:
+                records.append({"id": row.id, "kind": violation.kind, "detail": violation.detail})
     if args.format == "records":
         _print_records(records)
     elif args.format == "csv":
@@ -338,25 +390,23 @@ def cmd_pipeline_validate(args: argparse.Namespace) -> int:
     else:
         for record in records:
             print(f"{record['id']}: {record['kind']}: {record['detail']}")
-        print(f"{clean} of {len(rows)} rows clean, {len(records)} violations")
+        print(f"{clean} of {total} rows clean, {len(records)} violations")
     return EXIT_OK
 
 
 def cmd_pipeline_rewrite_digits(args: argparse.Namespace) -> int:
-    rows = corpus.load_manifest(args.manifest)
-    rewritten = []
     changed = 0
-    for row in rows:
-        table = load_language_table(row.language)
-        try:
-            new_text = rewrite_digit_runs(row.text, table, args.mode)
-        except DataError as exc:
-            raise DataError(f"row {row.id!r}: {exc}") from exc
-        if new_text != row.text:
-            changed += 1
-        rewritten.append(dataclasses.replace(row, text=new_text))
-    corpus.save_manifest(args.out, rewritten)
-    print(f"rewrote digit runs in {changed} of {len(rows)} rows ({args.mode})")
+    with _reading(args.manifest) as rows, corpus.manifest_writers(args.out) as (out,):
+        for row in rows:
+            table = load_language_table(row.language)
+            try:
+                new_text = rewrite_digit_runs(row.text, table, args.mode)
+            except DataError as exc:
+                raise DataError(f"row {row.id!r}: {exc}") from exc
+            if new_text != row.text:
+                changed += 1
+            out.write(dataclasses.replace(row, text=new_text))
+    print(f"rewrote digit runs in {changed} of {out.count} rows ({args.mode})")
     return EXIT_OK
 
 

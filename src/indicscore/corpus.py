@@ -10,10 +10,14 @@ are ignored so files can carry extra annotations.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import math
+import os
+import re
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import DataError
 from .matchers import MATCHER_CLASSES, EntityToken
@@ -89,7 +93,7 @@ def with_status(row: ManifestRow, status: str) -> ManifestRow:
 
 def _iter_jsonl(path: Path, problems: list[str]) -> Iterable[tuple[int, dict]]:
     # Lines end at b"\n" only: str.splitlines() would also break at the
-    # U+2028 and U+0085 that _write_jsonl leaves unescaped.
+    # U+2028 and U+0085 that manifest_line leaves unescaped.
     with open(path, "rb") as handle:
         for lineno, raw in enumerate(handle, 1):
             try:
@@ -107,7 +111,25 @@ def _iter_jsonl(path: Path, problems: list[str]) -> Iterable[tuple[int, dict]]:
             if not isinstance(record, dict):
                 problems.append(f"line {lineno}: expected a JSON object")
                 continue
+            if _SURROGATE_ESCAPE.search(raw) and _has_lone_surrogate(record):
+                problems.append(f"line {lineno}: a string holds an unpaired surrogate escape")
+                continue
             yield lineno, record
+
+
+# \ud800-\udfff, in either case. Escaped Indic text (\u0c..) never matches;
+# an escaped backslash before "ud8.." can, and only costs the exact check.
+_SURROGATE_ESCAPE = re.compile(rb"\\u[dD][89a-fA-F]")
+
+
+def _has_lone_surrogate(record: dict) -> bool:
+    # json.loads turns an unpaired \ud800-\udfff escape into a str that no
+    # UTF-8 writer can encode.
+    try:
+        json.dumps(record, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError:
+        return True
+    return False
 
 
 def _required_str(record: dict, key: str, lineno: int, problems: list[str]) -> str | None:
@@ -233,11 +255,16 @@ def load_predictions(path: str | Path) -> list[Prediction]:
     return predictions
 
 
-def load_manifest(path: str | Path) -> list[ManifestRow]:
-    """Load synthesis-manifest rows with full field validation."""
+def read_manifest(path: str | Path) -> Iterator[ManifestRow]:
+    """Yield the synthesis-manifest rows of ``path`` in file order.
+
+    Each row is validated as it is read; the file is opened on the first
+    ``next``. Every problem in the file is raised together, as one
+    DataError, after the last line, so a consumer must finish the
+    iteration before acting on what it was given.
+    """
     path = Path(path)
     problems: list[str] = []
-    rows: list[ManifestRow] = []
     seen: dict[str, int] = {}
     for lineno, record in _iter_jsonl(path, problems):
         row_id = _required_str(record, "id", lineno, problems)
@@ -258,9 +285,18 @@ def load_manifest(path: str | Path) -> list[ManifestRow]:
             problems.append(f"line {lineno}: unknown synth_system {synth_system!r}")
             continue
         cer_value = record.get("cer_against_source")
-        if cer_value is not None and (isinstance(cer_value, bool) or not isinstance(cer_value, (int, float))):
-            problems.append(f"line {lineno}: cer_against_source must be a number")
-            continue
+        if cer_value is not None:
+            if isinstance(cer_value, bool) or not isinstance(cer_value, (int, float)):
+                problems.append(f"line {lineno}: cer_against_source must be a number")
+                continue
+            try:
+                cer_value = float(cer_value)
+            except OverflowError:  # an integer beyond the float range
+                cer_value = math.inf
+            # NaN would pass the CER gate, since every comparison with it is false
+            if not 0.0 <= cer_value < math.inf:
+                problems.append(f"line {lineno}: cer_against_source must be finite and not negative")
+                continue
         status = record.get("status", "pending")
         if status not in MANIFEST_STATUSES:
             problems.append(f"line {lineno}: unknown status {status!r}")
@@ -268,51 +304,147 @@ def load_manifest(path: str | Path) -> list[ManifestRow]:
         tokens = _parse_entity_tokens(
             record.get("entity_tokens"), corpus_class, language, lineno, problems
         )
-        rows.append(
-            ManifestRow(
-                id=row_id,
-                text=text,
-                language=language,
-                corpus_class=corpus_class,
-                synth_system=synth_system,
-                cer_against_source=None if cer_value is None else float(cer_value),
-                status=status,
-                entity_tokens=tokens,
-            )
+        yield ManifestRow(
+            id=row_id,
+            text=text,
+            language=language,
+            corpus_class=corpus_class,
+            synth_system=synth_system,
+            cer_against_source=cer_value,
+            status=status,
+            entity_tokens=tokens,
         )
     if problems:
         raise DataError(f"malformed manifest file {path}", problems)
-    return rows
 
 
-def manifest_row_to_record(row: ManifestRow) -> dict:
-    record: dict = {
-        "id": row.id,
-        "text": row.text,
-        "language": row.language,
-        "corpus_class": row.corpus_class,
-        "status": row.status,
-    }
-    if row.synth_system is not None:
-        record["synth_system"] = row.synth_system
+def load_manifest(path: str | Path) -> list[ManifestRow]:
+    """Load synthesis-manifest rows with full field validation."""
+    return list(read_manifest(path))
+
+
+_encode_str = json.encoder.encode_basestring  # what json.dumps(..., ensure_ascii=False) uses
+
+
+def _encode_value(value: object) -> str:
+    if value is None:
+        return "null"
+    if isinstance(value, str):
+        return _encode_str(value)
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    return json.dumps(value, ensure_ascii=False, sort_keys=True)
+
+
+def manifest_line(row: ManifestRow) -> str:
+    """One manifest row as a JSONL line, newline included.
+
+    The bytes are those of ``json.dumps(record, ensure_ascii=False,
+    sort_keys=True)``, where the record holds the row's fields and leaves
+    out ``synth_system`` and ``cer_against_source`` when they are None and
+    ``entity_tokens`` when it is empty; the keys are written here in that
+    sorted order.
+    """
+    enc = _encode_str
+    line = "{"
     if row.cer_against_source is not None:
-        record["cer_against_source"] = row.cer_against_source
+        line += f'"cer_against_source": {_encode_value(row.cer_against_source)}, '
+    line += f'"corpus_class": {enc(row.corpus_class)}, '
     if row.entity_tokens:
-        record["entity_tokens"] = [
-            {"surface": t.surface, "matcher_class": t.matcher_class, "language": t.language}
+        tokens = ", ".join(
+            f'{{"language": {_encode_value(t.language)}, "matcher_class": {enc(t.matcher_class)},'
+            f' "surface": {enc(t.surface)}}}'
             for t in row.entity_tokens
-        ]
-    return record
+        )
+        line += f'"entity_tokens": [{tokens}], '
+    line += f'"id": {enc(row.id)}, "language": {enc(row.language)}, "status": {enc(row.status)}, '
+    if row.synth_system is not None:
+        line += f'"synth_system": {enc(row.synth_system)}, '
+    return line + f'"text": {enc(row.text)}}}\n'
+
+
+class ManifestWriter:
+    """Writes manifest rows to a temp file beside ``path``; ``commit``
+    renames it over ``path`` and ``discard`` removes it.
+
+    Use it through ``manifest_writers``. An existing path that is not a
+    regular file (``/dev/null``, a pipe) cannot be replaced and is written
+    in place. ``count`` is the number of rows written.
+    """
+
+    def __init__(self, path: str | Path):
+        path = os.fspath(path)
+        self.count = 0
+        self._temp: str | None = None
+        if os.path.exists(path) and not os.path.isfile(path):
+            # a directory fails here, before any output is written
+            self._handle = open(path, "w", encoding="utf-8")
+            return
+        # a symlinked output keeps its link: the file it points to is replaced
+        self._target = os.path.realpath(path)
+        directory, name = os.path.split(self._target)
+        self._temp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
+        try:
+            fd = os.open(self._temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except OSError as exc:
+            if not os.path.isdir(directory):
+                exc.filename = path  # name the output, as open(path, "w") did
+                raise
+            # the directory refused the temp file; the output itself may be writable
+            raise OSError(
+                exc.errno, f"{exc.strerror}: cannot create a temp file in {directory} to replace {path}"
+            ) from None
+        self._handle = open(fd, "w", encoding="utf-8")
+
+    def write(self, row: ManifestRow) -> None:
+        self._handle.write(manifest_line(row))
+        self.count += 1
+
+    def commit(self) -> None:
+        """Close the output and rename the temp file over the path."""
+        self._handle.close()
+        if self._temp is not None:
+            os.replace(self._temp, self._target)
+            self._temp = None
+
+    def discard(self) -> None:
+        """Close the output and remove the temp file, if not yet committed."""
+        with contextlib.suppress(OSError):
+            self._handle.close()
+        if self._temp is not None:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(self._temp)
+            self._temp = None
+
+
+@contextlib.contextmanager
+def manifest_writers(*paths: str | Path | None) -> Iterator[list[ManifestWriter | None]]:
+    """Yield a ManifestWriter per path (None for a path that is None).
+
+    The outputs are renamed into place, in argument order, only when the
+    block completes; otherwise every temp file is removed. So a failed run
+    neither creates nor changes an output, and an output may be the
+    manifest being read.
+    """
+    writers: list[ManifestWriter | None] = []
+    try:
+        for path in paths:
+            writers.append(None if path is None else ManifestWriter(path))
+        yield writers
+        for writer in writers:
+            if writer is not None:
+                writer.commit()
+    finally:
+        for writer in writers:
+            if writer is not None:
+                writer.discard()
 
 
 def save_manifest(path: str | Path, rows: Iterable[ManifestRow]) -> None:
-    _write_jsonl(path, (manifest_row_to_record(r) for r in rows))
-
-
-def _write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
+    """Write ``rows`` to ``path``: all or nothing."""
+    with manifest_writers(path) as (out,):
+        for row in rows:
+            out.write(row)
 
 
 # ---------------------------------------------------------------------------

@@ -282,8 +282,10 @@ def load_language_table(language: str) -> MultiplierTable:
 # Word-sequence parsing
 # ---------------------------------------------------------------------------
 
-def _parse_run(tokens: Sequence[str], table: MultiplierTable) -> tuple[Fraction, int, str] | None:
-    """Parse the longest valid prefix of ``tokens`` as one amount.
+def _parse_run(
+    tokens: Sequence[str], table: MultiplierTable, start: int = 0
+) -> tuple[Fraction, int, str] | None:
+    """Parse the longest valid prefix of ``tokens[start:]`` as one amount.
 
     Returns (value, tokens consumed, source form) or None. Tokens must
     already be casefold-normalized.
@@ -295,7 +297,8 @@ def _parse_run(tokens: Sequence[str], table: MultiplierTable) -> tuple[Fraction,
     used_word = used_numeral = False
     best: tuple[Fraction, int, str] | None = None
 
-    for i, tok in enumerate(tokens):
+    for i in range(start, len(tokens)):
+        tok = tokens[i]
         unit = table.units.get(tok)
         mult = table.multipliers.get(tok)
         numeral = None
@@ -353,7 +356,7 @@ def _parse_run(tokens: Sequence[str], table: MultiplierTable) -> tuple[Fraction,
             form = "mixed" if used_word and used_numeral else (
                 "word_sequence" if used_word else "latin_numeral"
             )
-            best = (groups_total + current, i + 1, form)
+            best = (groups_total + current, i + 1 - start, form)
 
     return best
 
@@ -401,7 +404,7 @@ def _scan_amounts(tokens: Iterable[str], table: MultiplierTable) -> list[ParsedA
     amounts: list[ParsedAmount] = []
     i = 0
     while i < len(toks):
-        result = _parse_run(toks[i:], table)
+        result = _parse_run(toks, table, i)
         if result is None:
             i += 1
             continue

@@ -13,8 +13,9 @@ from __future__ import annotations
 import hashlib
 import logging
 import random
+from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .corpus import ManifestRow, SYNTH_SYSTEMS, with_status
 from .errors import ConfigurationError, DataError
@@ -110,9 +111,14 @@ def route_utterance(row: ManifestRow, policy: RouterPolicy = RouterPolicy()) -> 
     return bucket
 
 
+def route_row(row: ManifestRow, policy: RouterPolicy = RouterPolicy()) -> ManifestRow:
+    """The row with its ``synth_system`` assigned."""
+    return replace(row, synth_system=route_utterance(row, policy))
+
+
 def route_rows(rows: Iterable[ManifestRow], policy: RouterPolicy = RouterPolicy()) -> list[ManifestRow]:
     """Assign ``synth_system`` on every row."""
-    return [replace(row, synth_system=route_utterance(row, policy)) for row in rows]
+    return [route_row(row, policy) for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -125,26 +131,44 @@ class FilterResult:
     rejected: tuple[ManifestRow, ...]
 
 
-def apply_cer_filter(rows: Sequence[ManifestRow], threshold: float = 0.5) -> FilterResult:
-    """Gate synthesized rows on round-trip CER.
+def gate_rows(
+    rows: Iterable[ManifestRow], threshold: float = 0.5
+) -> Iterator[tuple[bool, ManifestRow]]:
+    """Yield ``(accepted, row)`` per input row, the row moved to its new status.
 
     Rows with CER strictly above the threshold are rejected; a CER equal
     to the threshold passes. Rows missing ``cer_against_source`` are an
-    error, reported all at once.
+    error, raised after the last row with every such id; it takes
+    precedence over the first status that cannot move, raised likewise.
     """
-    missing = [row.id for row in rows if row.cer_against_source is None]
+    missing: list[str] = []
+    failure: DataError | None = None
+    for row in rows:
+        if row.cer_against_source is None:
+            missing.append(row.id)
+            continue
+        if missing or failure is not None:
+            continue
+        # strictly-above rejects: a CER equal to the threshold passes
+        accepted = not row.cer_against_source > threshold
+        try:
+            gated = with_status(row, "accepted" if accepted else "filtered_out")
+        except DataError as exc:
+            failure = exc
+            continue
+        yield accepted, gated
     if missing:
-        raise DataError(
-            "rows missing cer_against_source", [f"id {row_id!r}" for row_id in missing]
-        )
+        raise DataError("rows missing cer_against_source", [f"id {row_id!r}" for row_id in missing])
+    if failure is not None:
+        raise failure
+
+
+def apply_cer_filter(rows: Iterable[ManifestRow], threshold: float = 0.5) -> FilterResult:
+    """Gate synthesized rows on round-trip CER, as ``gate_rows`` does."""
     accepted: list[ManifestRow] = []
     rejected: list[ManifestRow] = []
-    for row in rows:
-        # strictly-above rejects: a CER equal to the threshold passes
-        if row.cer_against_source > threshold:
-            rejected.append(with_status(row, "filtered_out"))
-        else:
-            accepted.append(with_status(row, "accepted"))
+    for passed, row in gate_rows(rows, threshold):
+        (accepted if passed else rejected).append(row)
     return FilterResult(tuple(accepted), tuple(rejected))
 
 
@@ -158,42 +182,61 @@ class SplitResult:
     heldout: tuple[ManifestRow, ...]
 
 
-def split_heldout(rows: Sequence[ManifestRow]) -> SplitResult:
-    """Hold out every row synthesized by the held-out engine.
+def split_rows(rows: Iterable[ManifestRow]) -> Iterator[tuple[bool, ManifestRow]]:
+    """Yield ``(heldout, row)`` per input row: every row synthesized by the
+    held-out engine is held out.
 
     Keeping one engine's rows entirely out of training means evaluation
     audio never shares a voice with training audio. Rows must all be
-    ``accepted``; train and heldout partition the input exactly.
+    ``accepted`` and routed; the ids of the rows that are not are raised
+    after the last row, the unaccepted ones first.
     """
-    not_accepted = [row.id for row in rows if row.status != "accepted"]
+    not_accepted: list[str] = []
+    unrouted: list[str] = []
+    sizes = {True: 0, False: 0}
+    for row in rows:
+        if row.status != "accepted":
+            not_accepted.append(row.id)
+        if row.synth_system is None:
+            unrouted.append(row.id)
+        if not_accepted or unrouted:
+            continue
+        heldout = row.synth_system == HELDOUT_SYSTEM
+        sizes[heldout] += 1
+        yield heldout, row
     if not_accepted:
         raise DataError(
             "split requires accepted rows only", [f"id {row_id!r}" for row_id in not_accepted]
         )
-    unrouted = [row.id for row in rows if row.synth_system is None]
     if unrouted:
         raise DataError("split requires routed rows", [f"id {row_id!r}" for row_id in unrouted])
-    train = tuple(row for row in rows if row.synth_system != HELDOUT_SYSTEM)
-    heldout = tuple(row for row in rows if row.synth_system == HELDOUT_SYSTEM)
-    if not heldout:
+    if not sizes[True]:
         logger.warning("held-out split is empty: no rows from %s", HELDOUT_SYSTEM)
-    if not train:
+    if not sizes[False]:
         logger.warning("training split is empty")
-    return SplitResult(train, heldout)
+
+
+def split_heldout(rows: Iterable[ManifestRow]) -> SplitResult:
+    """Split rows into train and heldout, as ``split_rows`` does; the two
+    partition the input exactly."""
+    parts: dict[bool, list[ManifestRow]] = {True: [], False: []}
+    for heldout, row in split_rows(rows):
+        parts[heldout].append(row)
+    return SplitResult(tuple(parts[False]), tuple(parts[True]))
+
+
+def synth_key(row: ManifestRow) -> tuple[str, str]:
+    """The (language, backend) cell a row counts in, for audit tables."""
+    return (row.language, row.synth_system or "unrouted")
 
 
 def synth_distribution(rows: Iterable[ManifestRow]) -> dict[tuple[str, str], int]:
     """Counts per (language, backend), for audit tables."""
-    counts: dict[tuple[str, str], int] = {}
-    for row in rows:
-        key = (row.language, row.synth_system or "unrouted")
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+    return dict(Counter(map(synth_key, rows)))
 
 
-def render_distribution_table(rows: Sequence[ManifestRow]) -> str:
+def render_distribution(counts: Mapping[tuple[str, str], int]) -> str:
     """Aligned per-language backend counts with row and column totals."""
-    counts = synth_distribution(rows)
     languages = sorted({lang for lang, _ in counts})
     backends = [b for b in SYNTH_SYSTEMS if any(be == b for _, be in counts)]
     if any(be == "unrouted" for _, be in counts):
@@ -211,30 +254,40 @@ def render_distribution_table(rows: Sequence[ManifestRow]) -> str:
     return "\n".join([fmt(header)] + [fmt(line) for line in lines])
 
 
+def render_distribution_table(rows: Iterable[ManifestRow]) -> str:
+    """``render_distribution`` of the rows' counts."""
+    return render_distribution(synth_distribution(rows))
+
+
 # ---------------------------------------------------------------------------
 # Class balancing
 # ---------------------------------------------------------------------------
 
-def class_balance(
-    rows: Sequence[ManifestRow], per_class_target: int, seed: int = 0
-) -> list[ManifestRow]:
-    """Seeded downsample to at most ``per_class_target`` rows per class.
+def balanced_ids(rows: Iterable[ManifestRow], per_class_target: int, seed: int = 0) -> set[str]:
+    """Ids kept by a seeded downsample to at most ``per_class_target`` rows
+    per class.
 
-    Selection is independent of input order (candidates are sorted by id
-    before sampling) and the output preserves input order.
+    Selection is independent of input order: each class's ids are sorted
+    before sampling.
     """
     if per_class_target < 0:
         raise ConfigurationError("per_class_target must be non-negative")
-    by_class: dict[str, list[ManifestRow]] = {}
+    by_class: dict[str, list[str]] = {}
     for row in rows:
-        by_class.setdefault(row.corpus_class, []).append(row)
+        by_class.setdefault(row.corpus_class, []).append(row.id)
     selected: set[str] = set()
     for corpus_class in sorted(by_class):
-        candidates = sorted(by_class[corpus_class], key=lambda r: r.id)
-        if len(candidates) <= per_class_target:
-            chosen = candidates
-        else:
+        candidates = sorted(by_class[corpus_class])
+        if len(candidates) > per_class_target:
             rng = random.Random(f"{seed}:{corpus_class}")
-            chosen = rng.sample(candidates, per_class_target)
-        selected.update(row.id for row in chosen)
+            candidates = rng.sample(candidates, per_class_target)
+        selected.update(candidates)
+    return selected
+
+
+def class_balance(
+    rows: Sequence[ManifestRow], per_class_target: int, seed: int = 0
+) -> list[ManifestRow]:
+    """The rows ``balanced_ids`` keeps, in input order."""
+    selected = balanced_ids(rows, per_class_target, seed)
     return [row for row in rows if row.id in selected]

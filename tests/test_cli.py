@@ -1,4 +1,7 @@
 import json
+import os
+import stat
+import threading
 
 import pytest
 
@@ -455,3 +458,227 @@ def test_pipeline_rewrite_grouped_13_digits_exits_2(tmp_path, jsonl_writer, caps
     code = run("pipeline", "rewrite-digits", "--manifest", manifest, "--out", str(tmp_path / "o.jsonl"))
     assert code == 2
     assert "row 'd1'" in capsys.readouterr().err
+
+
+def test_pipeline_filter_rejects_nan_cer_exit_2(tmp_path, capsys):
+    manifest = tmp_path / "nan.jsonl"
+    manifest.write_text(
+        '{"id": "n1", "text": "a b c", "language": "te", "corpus_class": "digits",'
+        ' "status": "synthesized", "cer_against_source": NaN}\n'
+        '{"id": "n2", "text": "a b c", "language": "te", "corpus_class": "digits",'
+        ' "status": "synthesized", "cer_against_source": 0.1}\n',
+        encoding="utf-8",
+    )
+    out = tmp_path / "accepted.jsonl"
+    assert run("pipeline", "filter", "--manifest", str(manifest), "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert "line 1: cer_against_source must be finite and not negative" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_pipeline_route_rejects_unpaired_surrogate_exit_2(tmp_path, capsys):
+    manifest = tmp_path / "surrogate.jsonl"
+    good = json.dumps(MANIFEST[0], ensure_ascii=False)
+    manifest.write_text(
+        good + "\n"
+        + '{"id": "s1", "text": "bad \\ud800 text", "language": "te", "corpus_class": "digits"}\n'
+        + good.replace("m000", "m999") + "\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "routed.jsonl"
+    assert run("pipeline", "route", "--manifest", str(manifest), "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert "line 2: a string holds an unpaired surrogate escape" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["surrogate.jsonl"]
+
+
+@pytest.mark.parametrize("step", ["route", "filter", "split", "balance", "rewrite-digits"])
+def test_pipeline_bad_line_after_good_rows_leaves_outputs_untouched(tmp_path, step, capsys):
+    rows = [
+        {"id": f"g{i}", "text": "ఇది ఒక పరీక్ష వాక్యం సరే", "language": "te", "corpus_class": "digits",
+         "synth_system": "cartesia" if i % 2 else "praxy", "status": "accepted", "cer_against_source": 0.1}
+        for i in range(200)
+    ]
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text(
+        "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in rows) + "{not json\n", encoding="utf-8"
+    )
+    existing, fresh = tmp_path / "existing.jsonl", tmp_path / "fresh.jsonl"
+    existing.write_bytes(b"keep me\n")
+    outs = {
+        "route": ["--out", str(existing)],
+        "filter": ["--out", str(existing), "--rejected", str(fresh)],
+        "split": ["--out-train", str(existing), "--out-heldout", str(fresh)],
+        "balance": ["--out", str(existing), "--per-class", "5"],
+        "rewrite-digits": ["--out", str(existing)],
+    }[step]
+    assert run("pipeline", step, "--manifest", str(manifest), *outs) == 2
+    captured = capsys.readouterr()
+    assert "line 201: invalid JSON" in captured.err and captured.out == ""
+    assert existing.read_bytes() == b"keep me\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["existing.jsonl", "m.jsonl"]
+
+
+@pytest.mark.parametrize(
+    "step, extra",
+    [
+        ("route", ["--seed", "7"]),
+        ("filter", ["--threshold", "0.5"]),
+        ("balance", ["--per-class", "2", "--seed", "3"]),
+        ("rewrite-digits", ["--mode", "digit_by_digit"]),
+    ],
+)
+def test_pipeline_out_may_be_the_manifest(tmp_path, jsonl_writer, step, extra, capsys):
+    rows = [
+        {"id": f"s{i}", "text": f"పిన్ 50008{i} పంపు సరే", "language": "te",
+         "corpus_class": "digits" if i % 2 else "currency", "synth_system": "praxy",
+         "status": "synthesized", "cer_against_source": 0.2 if i % 3 else 0.8}
+        for i in range(8)
+    ]
+    separate = tmp_path / "separate.jsonl"
+    source = jsonl_writer("source.jsonl", rows)
+    assert run("pipeline", step, "--manifest", source, "--out", str(separate), *extra) == 0
+    expected_stdout = capsys.readouterr().out
+    in_place = jsonl_writer("in_place.jsonl", rows)
+    assert run("pipeline", step, "--manifest", in_place, "--out", in_place, *extra) == 0
+    assert capsys.readouterr().out == expected_stdout
+    assert (tmp_path / "in_place.jsonl").read_bytes() == separate.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in_place.jsonl", "separate.jsonl", "source.jsonl"]
+
+
+def test_pipeline_balance_needs_a_manifest_it_can_read_twice(tmp_path, capsys):
+    fifo = tmp_path / "manifest.fifo"
+    os.mkfifo(fifo)
+    lines = "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in MANIFEST)
+
+    def feed():
+        with open(fifo, "w", encoding="utf-8") as handle:
+            handle.write(lines)
+
+    feeder = threading.Thread(target=feed, daemon=True)
+    feeder.start()
+    out = tmp_path / "balanced.jsonl"
+    code = run("pipeline", "balance", "--manifest", str(fifo), "--out", str(out), "--per-class", "2")
+    feeder.join(timeout=10)
+    assert not feeder.is_alive()
+    assert code == 2
+    assert "is not a regular file" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_pipeline_writes_a_pipe_in_place(tmp_path, manifest_path, capsys):
+    fifo = tmp_path / "routed.fifo"
+    os.mkfifo(fifo)
+    received = []
+
+    def drain():
+        with open(fifo, "rb") as handle:
+            received.append(handle.read())
+
+    reader = threading.Thread(target=drain, daemon=True)
+    reader.start()
+    assert run("pipeline", "route", "--manifest", manifest_path, "--out", str(fifo), "--seed", "7") == 0
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    regular = tmp_path / "routed.jsonl"
+    assert run("pipeline", "route", "--manifest", manifest_path, "--out", str(regular), "--seed", "7") == 0
+    assert received == [regular.read_bytes()]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "step, first_row, extra",
+    [
+        # the verb's own error comes from a row before the malformed line
+        ("rewrite-digits", {"text": "ఖాతా 1234567890123 సరే"}, []),
+        ("route", {}, ["--weights", "praxy=2"]),
+        ("balance", {}, ["--per-class", "-1"]),
+        ("filter", {}, []),  # rows missing cer_against_source
+    ],
+)
+def test_pipeline_reports_a_malformed_manifest_before_the_verbs_own_error(
+    tmp_path, step, first_row, extra, capsys
+):
+    rows = [dict(MANIFEST[0], **first_row), MANIFEST[1]]
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text(
+        "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in rows) + "[1, 2]\n", encoding="utf-8"
+    )
+    out = tmp_path / "out.jsonl"
+    assert run("pipeline", step, "--manifest", str(manifest), "--out", str(out), *extra) == 2
+    err = capsys.readouterr().err
+    assert err == f"data error: malformed manifest file {manifest}\n  line 3: expected a JSON object\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "step, extra, message",
+    [
+        ("route", ["--weights", "praxy=lots"], "--weights: 'lots' is not a number"),
+        ("balance", ["--per-class", "-1"], "per_class_target must be non-negative"),
+    ],
+)
+def test_pipeline_reports_an_option_error_before_an_output_error(
+    tmp_path, manifest_path, step, extra, message, capsys
+):
+    # the output is a directory, which cannot be written
+    assert run("pipeline", step, "--manifest", manifest_path, "--out", str(tmp_path), *extra) == 1
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
+def _refuse_temp_files(monkeypatch):
+    real_open = os.open
+
+    def refusing_open(path, flags, *args, **kwargs):
+        if str(path).endswith(".tmp"):
+            raise PermissionError(13, "Permission denied", path)
+        return real_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", refusing_open)
+
+
+def test_pipeline_names_the_directory_that_refuses_the_temp_file(
+    tmp_path, manifest_path, monkeypatch, capsys
+):
+    out = tmp_path / "routed.jsonl"
+    out.write_bytes(b"writable, in a directory that is not\n")
+    _refuse_temp_files(monkeypatch)
+    assert run("pipeline", "route", "--manifest", manifest_path, "--out", str(out)) == 2
+    assert capsys.readouterr().err == (
+        f"data error: [Errno 13] Permission denied: cannot create a temp file in {tmp_path}"
+        f" to replace {out}\n"
+    )
+    assert out.read_bytes() == b"writable, in a directory that is not\n"
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root may create files in a 0o555 directory")
+def test_pipeline_fails_on_a_writable_output_in_a_read_only_directory(
+    tmp_path, manifest_path, capsys
+):
+    locked = tmp_path / "locked"
+    locked.mkdir()
+    out = locked / "routed.jsonl"
+    out.write_bytes(b"old\n")
+    locked.chmod(0o555)
+    try:
+        assert run("pipeline", "route", "--manifest", manifest_path, "--out", str(out)) == 2
+    finally:
+        locked.chmod(0o755)
+    assert f"cannot create a temp file in {locked} to replace {out}" in capsys.readouterr().err
+    assert out.read_bytes() == b"old\n"
+    assert [p.name for p in locked.iterdir()] == ["routed.jsonl"]
+
+
+def test_pipeline_reports_an_output_error_before_an_error_in_the_rows(tmp_path, jsonl_writer, capsys):
+    rows = [dict(MANIFEST[0], text="ఖాతా 1234567890123 సరే")]
+    manifest = jsonl_writer("m.jsonl", rows)
+    # the output is a directory, which cannot be written
+    assert run("pipeline", "rewrite-digits", "--manifest", manifest, "--out", str(tmp_path)) == 2
+    assert capsys.readouterr().err == f"data error: [Errno 21] Is a directory: '{tmp_path}'\n"
+    out = tmp_path / "out.jsonl"
+    assert run("pipeline", "rewrite-digits", "--manifest", manifest, "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith(f"data error: row {MANIFEST[0]['id']!r}: ")
+    assert not out.exists()

@@ -1,22 +1,31 @@
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_manifest_row
 from indicscore.corpus import (
     CLASS_TO_MATCHER,
     CORPUS_CLASSES,
+    MANIFEST_STATUSES,
+    SYNTH_SYSTEMS,
     HoldoutRow,
+    ManifestRow,
     ValidationConfig,
     load_holdout,
     load_manifest,
     load_predictions,
+    manifest_line,
+    manifest_writers,
+    read_manifest,
     save_manifest,
     validate_corpus_row,
     with_status,
 )
 from indicscore.errors import DataError
-from indicscore.matchers import EntityToken
+from indicscore.matchers import MATCHER_CLASSES, EntityToken
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +274,200 @@ def test_manifest_rows_keep_entity_tokens(tmp_path, jsonl_writer):
     out = tmp_path / "again.jsonl"
     save_manifest(out, rows)
     assert load_manifest(out) == rows
+
+
+def test_load_manifest_rejects_cer_that_is_not_finite_or_is_negative(tmp_path):
+    lines = [
+        '{"id": "m1", "text": "x", "language": "te", "corpus_class": "digits", "cer_against_source": NaN}',
+        '{"id": "m2", "text": "x", "language": "te", "corpus_class": "digits", "cer_against_source": Infinity}',
+        '{"id": "m3", "text": "x", "language": "te", "corpus_class": "digits", "cer_against_source": -Infinity}',
+        '{"id": "m4", "text": "x", "language": "te", "corpus_class": "digits", "cer_against_source": -0.01}',
+        '{"id": "m5", "text": "x", "language": "te", "corpus_class": "digits", "cer_against_source": 1' + "0" * 400 + "}",
+        '{"id": "m6", "text": "x", "language": "te", "corpus_class": "digits", "cer_against_source": 0}',
+        '{"id": "m7", "text": "x", "language": "te", "corpus_class": "digits", "cer_against_source": 2.5}',
+    ]
+    path = tmp_path / "m.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(DataError) as exc:
+        load_manifest(path)
+    for lineno in range(1, 6):
+        assert f"line {lineno}: cer_against_source must be finite and not negative" in exc.value.details
+    assert len(exc.value.details) == 5  # 0 and values above 1 are legal CERs
+
+
+@pytest.mark.parametrize("loader", [load_manifest, load_holdout, load_predictions])
+def test_loaders_reject_unpaired_surrogate_escapes(tmp_path, loader):
+    fields = '"id": "m1", "language": "te", "corpus_class": "digits", "hypothesis": "h"'
+    path = tmp_path / "m.jsonl"
+    path.write_text(
+        "{" + fields + ', "text": "a \\ud800 b"}\n'
+        + "{" + fields.replace("m1", "m2") + ', "text": "a \\uDC00"}\n'
+        # an escaped pair is one astral character; an escaped backslash is no escape
+        + "{" + fields.replace("m1", "m3") + ', "text": "\\ud83d\\ude00 \\\\ud800"}\n',
+        encoding="utf-8",
+    )
+    with pytest.raises(DataError) as exc:
+        loader(path)
+    assert exc.value.details == [
+        "line 1: a string holds an unpaired surrogate escape",
+        "line 2: a string holds an unpaired surrogate escape",
+    ]
+
+
+def test_read_manifest_streams_and_raises_after_the_last_line(tmp_path):
+    path = tmp_path / "m.jsonl"
+    path.write_text(
+        json.dumps({"id": "m1", "text": "x", "language": "te", "corpus_class": "digits"}) + "\n"
+        + "{broken\n"
+        + json.dumps({"id": "m2", "text": "y", "language": "te", "corpus_class": "digits"}) + "\n"
+        + json.dumps({"id": "m1", "text": "z", "language": "te", "corpus_class": "digits"}) + "\n",
+        encoding="utf-8",
+    )
+    rows = read_manifest(path)
+    assert [next(rows).id, next(rows).id] == ["m1", "m2"]
+    with pytest.raises(DataError) as exc:
+        next(rows)
+    assert exc.value.details == [
+        "line 2: invalid JSON (Expecting property name enclosed in double quotes)",
+        "line 4: duplicate id 'm1' (first seen on line 1)",
+    ]
+
+
+# ---------------------------------------------------------------------------
+# Manifest line encoder and writer
+# ---------------------------------------------------------------------------
+
+def record_line(row: ManifestRow) -> str:
+    """The record builder and json.dumps call manifest_line replaced: the oracle."""
+    record: dict = {
+        "id": row.id,
+        "text": row.text,
+        "language": row.language,
+        "corpus_class": row.corpus_class,
+        "status": row.status,
+    }
+    if row.synth_system is not None:
+        record["synth_system"] = row.synth_system
+    if row.cer_against_source is not None:
+        record["cer_against_source"] = row.cer_against_source
+    if row.entity_tokens:
+        record["entity_tokens"] = [
+            {"surface": t.surface, "matcher_class": t.matcher_class, "language": t.language}
+            for t in row.entity_tokens
+        ]
+    return json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n"
+
+
+# JSON escapes quotes, backslashes and C0 controls; U+2028/U+2029, U+0085,
+# DEL and astral characters go out as they are.
+AWKWARD = '"\\/\x00\x01\x08\t\n\x0b\x0c\r\x1f\x7f\x85\u2028\u2029\ufeff\U0001f600\U00010000é అ'
+TEXT = st.text(st.one_of(st.sampled_from(AWKWARD), st.characters(exclude_categories=("Cs",))), max_size=12)
+CERS = st.one_of(
+    st.none(),
+    st.sampled_from([0.0, -0.0, 0.1, 1e-7, 1e16, 1e-320, 0.30000000000000004, 2.5, 7]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+TOKENS = st.builds(
+    EntityToken,
+    surface=TEXT.filter(bool),
+    matcher_class=st.sampled_from(MATCHER_CLASSES),
+    language=st.one_of(st.none(), TEXT),
+)
+ROWS = st.builds(
+    ManifestRow,
+    id=TEXT,
+    text=TEXT,
+    language=TEXT,
+    corpus_class=st.sampled_from(CORPUS_CLASSES),
+    synth_system=st.one_of(st.none(), st.sampled_from(SYNTH_SYSTEMS)),
+    cer_against_source=CERS,
+    status=st.sampled_from(MANIFEST_STATUSES),
+    entity_tokens=st.lists(TOKENS, max_size=3).map(tuple),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ROWS)
+def test_manifest_line_equals_the_json_dumps_record_line(row):
+    assert manifest_line(row) == record_line(row)
+
+
+@pytest.mark.parametrize("cer", [0.1, 1e-7, 1e16, -0.0, 5e-324, 1.7976931348623157e308])
+def test_manifest_line_spells_floats_as_json_dumps(cer):
+    row = make_manifest_row(1, cer_against_source=cer)
+    assert manifest_line(row) == record_line(row)
+    assert json.loads(manifest_line(row))["cer_against_source"] == cer
+
+
+@pytest.mark.parametrize("cer", [math.nan, math.inf, -math.inf, 3, True])
+def test_manifest_line_falls_back_to_json_dumps_for_other_numbers(cer):
+    row = make_manifest_row(1, cer_against_source=cer)
+    assert manifest_line(row) == record_line(row)
+
+
+def test_writer_failure_after_good_rows_leaves_no_file(tmp_path):
+    out = tmp_path / "out.jsonl"
+    rows = [make_manifest_row(1), make_manifest_row(2, text="lone \ud800")]
+    with pytest.raises(UnicodeEncodeError):
+        save_manifest(out, rows)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_writer_failure_leaves_an_existing_file_untouched(tmp_path):
+    out = tmp_path / "out.jsonl"
+    out.write_bytes(b"previous contents\n")
+    with pytest.raises(RuntimeError):
+        with manifest_writers(out) as (writer,):
+            writer.write(make_manifest_row(1))
+            raise RuntimeError("stop")
+    assert out.read_bytes() == b"previous contents\n"
+    assert list(tmp_path.iterdir()) == [out]
+
+
+def test_writer_replaces_only_on_commit(tmp_path):
+    out = tmp_path / "out.jsonl"
+    out.write_bytes(b"old\n")
+    with manifest_writers(out) as (writer,):
+        writer.write(make_manifest_row(1))
+        assert out.read_bytes() == b"old\n"
+    assert out.read_text(encoding="utf-8") == manifest_line(make_manifest_row(1))
+    assert writer.count == 1
+    assert list(tmp_path.iterdir()) == [out]
+
+
+def test_writer_replaces_the_target_of_a_symlink(tmp_path):
+    target, link = tmp_path / "target.jsonl", tmp_path / "link.jsonl"
+    target.write_bytes(b"old\n")
+    link.symlink_to(target)
+    save_manifest(link, [make_manifest_row(1)])
+    assert link.is_symlink()
+    assert load_manifest(target) == [make_manifest_row(1)]
+
+
+def test_writer_names_the_output_when_it_cannot_be_made(tmp_path):
+    missing_dir = tmp_path / "no" / "out.jsonl"
+    with pytest.raises(FileNotFoundError) as exc:
+        save_manifest(str(missing_dir), [])
+    assert exc.value.filename == str(missing_dir)
+    with pytest.raises(IsADirectoryError) as exc:
+        save_manifest(str(tmp_path), [])
+    assert exc.value.filename == str(tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_writers_commit_in_argument_order_and_only_all_together(tmp_path):
+    first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+    with manifest_writers(first, None, second) as (a, none, b):
+        assert none is None
+        a.write(make_manifest_row(1))
+        b.write(make_manifest_row(2))
+    assert load_manifest(first) == [make_manifest_row(1)]
+    assert load_manifest(second) == [make_manifest_row(2)]
+    # the second output cannot be made: the first is not created either
+    with pytest.raises(IsADirectoryError):
+        with manifest_writers(tmp_path / "third.jsonl", tmp_path):
+            pass
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["first.jsonl", "second.jsonl"]
 
 
 def test_with_status_moves_forward_only():

@@ -192,6 +192,10 @@ def test_parse_amount_text_whole_input_only():
 def test_parse_currency_expression_scans():
     amounts = parse_currency_expression("pay ₹500 or maybe five lakh later", EN)
     assert [a.value for a in amounts] == [500, 500000]
+    assert [a.span for a in amounts] == [(1, 2), (4, 6)]  # the marker is not a token
+    # adjacent numerals stay two amounts, each spanning its own token
+    amounts = parse_currency_expression("pay 5 7 then two hundred 3", EN)
+    assert [(a.value, a.span) for a in amounts] == [(5, (1, 2)), (7, (2, 3)), (200, (4, 6)), (3, (6, 7))]
 
 
 def test_parse_currency_expression_takes_longest_run():

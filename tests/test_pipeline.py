@@ -132,13 +132,16 @@ def test_cer_filter_boundary():
 def test_cer_filter_missing_cer_is_an_error():
     rows = [
         make_manifest_row(1, synth_system="praxy", cer_against_source=0.1),
+        # a status that cannot move is reported only when no CER is missing
+        make_manifest_row(4, synth_system="praxy", cer_against_source=0.1, status="filtered_out"),
         make_manifest_row(2, synth_system="praxy"),
         make_manifest_row(3, synth_system="praxy"),
     ]
     with pytest.raises(DataError) as exc:
         apply_cer_filter(rows)
-    message = str(exc.value)
-    assert "row0002" in message and "row0003" in message
+    assert exc.value.details == ["id 'row0002'", "id 'row0003'"]
+    with pytest.raises(DataError, match="cannot move status 'filtered_out' -> 'accepted'"):
+        apply_cer_filter(rows[:2])
 
 
 def test_cer_filter_empty_input():
@@ -167,9 +170,11 @@ def test_split_partitions_exactly():
 
 
 def test_split_requires_accepted():
-    rows = route_rows(many_rows(5), RouterPolicy(seed=0))
-    with pytest.raises(DataError):
+    rows = route_rows(many_rows(5), RouterPolicy(seed=0)) + [make_manifest_row(9)]
+    # the unaccepted rows are reported first, the unrouted one among them
+    with pytest.raises(DataError, match="accepted rows only") as exc:
         split_heldout(rows)
+    assert len(exc.value.details) == 6
 
 
 def test_split_requires_routed():
