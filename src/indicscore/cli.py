@@ -27,11 +27,11 @@ from pathlib import Path
 
 from . import corpus, scorecard
 from .errors import ConfigurationError, DataError, read_utf8
-from .matchers import AliasTable, ScoringConfig
-from .numbers import load_language_table, load_lexicon, rewrite_digit_runs
+from .matchers import CURRENCY_MODES, AliasTable, ScoringConfig
+from .numbers import REWRITE_MODES, load_language_table, load_lexicon, rewrite_digit_runs
 from .script import LANGUAGES, aggregate_sfr, sfr
 from .scorecard import format_value
-from .textnorm import norm_config_from_label
+from .textnorm import NORM_MODES, norm_config_from_label
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -429,10 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_score.add_argument("--holdout-name", help="label for the scorecard (default: file stem)")
     p_score.add_argument("--aliases", help="brand alias table (TSV: canonical, aliases...)")
     p_score.add_argument("--lexicon", help="number lexicon overriding the bundled one")
-    p_score.add_argument(
-        "--currency-mode", choices=("strict", "bidirectional"), default="strict"
-    )
-    p_score.add_argument("--normalization", choices=("default", "strict"), default="default")
+    p_score.add_argument("--currency-mode", choices=CURRENCY_MODES, default="strict")
+    p_score.add_argument("--normalization", choices=NORM_MODES, default="default")
     p_score.add_argument("--out", help="scorecard JSON path (default: <predictions>.scorecard.json)")
     p_score.add_argument("--detail", help="per-utterance JSONL path (default: <predictions>.detail.jsonl)")
     add_format(p_score)
@@ -497,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rw = pipe_sub.add_parser("rewrite-digits", help="spell out digit runs for synthesis")
     p_rw.add_argument("--manifest", required=True)
     p_rw.add_argument("--out", required=True)
-    p_rw.add_argument("--mode", choices=("grouped", "digit_by_digit"), default="grouped")
+    p_rw.add_argument("--mode", choices=REWRITE_MODES, default="grouped")
     p_rw.set_defaults(func=cmd_pipeline_rewrite_digits)
 
     return parser

@@ -170,6 +170,9 @@ def _parse_entity_tokens(
             if not isinstance(surface, str) or not surface:
                 problems.append(f"line {lineno}: entity token needs a non-empty 'surface'")
                 continue
+            if lang is not None and not isinstance(lang, str):
+                problems.append(f"line {lineno}: entity token language must be a string")
+                continue
             if cls is None and row_class in CLASS_TO_MATCHER:
                 cls = CLASS_TO_MATCHER[row_class]
         else:
@@ -457,11 +460,14 @@ class Violation:
     detail: str
 
 
+# A generated utterance holds MIN_TOKENS to MAX_TOKENS tokens, inclusive.
+MIN_TOKENS = 3
+MAX_TOKENS = 25
+
+
 @dataclass(frozen=True)
 class ValidationConfig:
     purity_threshold: float = 0.8
-    min_tokens: int = 3
-    max_tokens: int = 25
 
 
 def _merge_spans(spans: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -475,9 +481,7 @@ def _merge_spans(spans: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
 
 
 def validate_corpus_row(
-    row: HoldoutRow | ManifestRow,
-    language: str | None = None,
-    config: ValidationConfig = ValidationConfig(),
+    row: HoldoutRow | ManifestRow, config: ValidationConfig = ValidationConfig()
 ) -> list[Violation]:
     """Check one generated utterance; violations are data, not errors.
 
@@ -485,21 +489,17 @@ def validate_corpus_row(
     the NFKC text, and script purity with entity spans excluded (a Latin
     brand inside a Telugu carrier does not count against purity).
     """
-    lang = language or row.language
-    if lang is None:
+    if row.language is None:
         raise DataError(f"row {row.id!r}: no language given for validation")
-    script_block(lang)  # unknown language is a configuration error
+    script_block(row.language)  # unknown language is a configuration error
 
     violations: list[Violation] = []
     text = nfkc_normalize(row.text)
 
     token_count = len(tokenize(text))
-    if not config.min_tokens <= token_count <= config.max_tokens:
+    if not MIN_TOKENS <= token_count <= MAX_TOKENS:
         violations.append(
-            Violation(
-                "length",
-                f"{token_count} tokens outside [{config.min_tokens}, {config.max_tokens}]",
-            )
+            Violation("length", f"{token_count} tokens outside [{MIN_TOKENS}, {MAX_TOKENS}]")
         )
 
     spans: list[tuple[int, int]] = []
@@ -516,7 +516,7 @@ def validate_corpus_row(
                 Violation("entity_span", f"entity surface {entity.surface!r} not found in text")
             )
 
-    if not script_purity_check(text, lang, _merge_spans(spans), config.purity_threshold):
+    if not script_purity_check(text, row.language, _merge_spans(spans), config.purity_threshold):
         violations.append(
             Violation("script_purity", f"off-script content exceeds {1 - config.purity_threshold:.0%}")
         )

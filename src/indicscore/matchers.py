@@ -44,7 +44,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .distance import _position_masks
 from .errors import ConfigurationError, ReferenceDataError, read_utf8
 from .numbers import MultiplierTable, _scan_amounts, load_language_table, parse_amount_text
-from .textnorm import casefold_normalize, nfkc_normalize, tokenize
+from .textnorm import casefold_normalize, nfkc_normalize, tokenize, tokens_for_scoring
 
 logger = logging.getLogger(__name__)
 
@@ -142,7 +142,7 @@ class _Hypothesis:
     @cached_property
     def tokens(self) -> list[str]:
         """Casefolded tokens, shared by every token-level matcher."""
-        return tokenize(casefold_normalize(self.text))
+        return tokens_for_scoring(self.text)
 
     @cached_property
     def digit_runs(self) -> list[str]:
@@ -218,7 +218,7 @@ def _match_currency(token: EntityToken, hyp: _Hypothesis, config: ScoringConfig)
         raise ReferenceDataError(f"currency token {token.surface!r} does not parse as an amount")
 
     # Verbatim recovery of the reference surface always counts.
-    needle = tokenize(casefold_normalize(token.surface))
+    needle = tokens_for_scoring(token.surface)
     if _contains_token_seq(hyp.tokens, needle):
         return MatchResult(token.surface, "currency_amount", True, "surface recovered verbatim")
 
@@ -255,7 +255,7 @@ def _match_brand(token: EntityToken, hyp: _Hypothesis, config: ScoringConfig) ->
 
 def _match_proper_noun(token: EntityToken, hyp: _Hypothesis, config: ScoringConfig) -> MatchResult:
     """Token-set Jaccard >= JACCARD_THRESHOLD over k-1/k/k+1 hypothesis windows."""
-    ref_set = set(tokenize(casefold_normalize(token.surface)))
+    ref_set = set(tokens_for_scoring(token.surface))
     if not ref_set:
         raise ReferenceDataError(f"proper noun token {token.surface!r} has no comparable tokens")
     hyp_tokens = hyp.tokens
@@ -287,7 +287,7 @@ def _digit_sequence(tokens: Iterable[str], table: MultiplierTable) -> str:
 def _match_spelled_digit(token: EntityToken, hyp: _Hypothesis, config: ScoringConfig) -> MatchResult:
     """Digit-subsequence preservation: LCS ratio >= LCS_THRESHOLD."""
     table = config.table_for(token.language)
-    ref = _digit_sequence(tokenize(casefold_normalize(token.surface)), table)
+    ref = _digit_sequence(tokens_for_scoring(token.surface), table)
     if not ref:
         raise ReferenceDataError(f"spelled digit token {token.surface!r} yields no digits")
     ratio = lcs_length(ref, _digit_sequence(hyp.tokens, table)) / len(ref)
@@ -297,7 +297,7 @@ def _match_spelled_digit(token: EntityToken, hyp: _Hypothesis, config: ScoringCo
 
 def _match_house_or_plot(token: EntityToken, hyp: _Hypothesis, config: ScoringConfig) -> MatchResult:
     """Casefolded whole-token sequence match (identifiers like 8-2-293/82)."""
-    needle = tokenize(casefold_normalize(token.surface))
+    needle = tokens_for_scoring(token.surface)
     if not needle:
         raise ReferenceDataError(f"house/plot token {token.surface!r} has no comparable tokens")
     if _contains_token_seq(hyp.tokens, needle):
@@ -411,19 +411,12 @@ class EhrReport:
         return sum(rates) / len(rates)
 
 
-def aggregate_ehr(results: Iterable[MatchResult | tuple[str, bool]]) -> EhrReport:
-    """Tally match outcomes into an EhrReport; classes sorted by name.
-
-    Accepts MatchResult objects or bare (class, hit) pairs.
-    """
+def aggregate_ehr(results: Iterable[MatchResult]) -> EhrReport:
+    """Tally match results into an EhrReport; classes sorted by name."""
     counts: dict[str, list[int]] = {}
-    for item in results:
-        if isinstance(item, MatchResult):
-            cls, hit = item.matcher_class, item.hit
-        else:
-            cls, hit = item
-        tally = counts.setdefault(cls, [0, 0])
+    for result in results:
+        tally = counts.setdefault(result.matcher_class, [0, 0])
         tally[0] += 1
-        tally[1] += bool(hit)
+        tally[1] += result.hit
     per_class = {cls: ClassTally(n, hits) for cls, (n, hits) in sorted(counts.items())}
     return EhrReport(per_class)

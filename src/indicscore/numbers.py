@@ -24,15 +24,15 @@ like "1.5 lakh" carry no floating-point error into tolerance checks.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ConfigurationError, DataError, read_utf8
-from .textnorm import casefold_normalize, nfkc_normalize, tokenize
+from .textnorm import casefold_normalize, nfkc_normalize, tokens_for_scoring
 
 _CRORE = 10**7
 _SPELL_LIMIT = 10**12
@@ -100,15 +100,21 @@ class MultiplierTable:
 
     ``units`` maps words to 0..99 plus the hundred word (value 100);
     ``multipliers`` maps words to powers of ten >= 1000. The first word
-    loaded for a value becomes its canonical spelling.
+    for a value, in mapping order, is its canonical spelling.
     """
 
     language: str
     units: Mapping[str, int]
     multipliers: Mapping[str, int]
     currency_markers: frozenset[str]
-    spell_units: Mapping[int, str] = field(repr=False)
-    spell_multipliers: Mapping[int, str] = field(repr=False)
+
+    @cached_property
+    def spell_units(self) -> Mapping[int, str]:
+        return _first_words(self.units)
+
+    @cached_property
+    def spell_multipliers(self) -> Mapping[int, str]:
+        return _first_words(self.multipliers)
 
     @classmethod
     def from_entries(
@@ -117,8 +123,6 @@ class MultiplierTable:
         units: dict[str, int] = {}
         multipliers: dict[str, int] = {}
         markers: set[str] = set()
-        spell_units: dict[int, str] = {}
-        spell_multipliers: dict[int, str] = {}
         for word, value, kind, script in entries:
             if script not in LEXICON_SCRIPTS:
                 raise ConfigurationError(f"unknown lexicon script {script!r} for word {word!r}")
@@ -131,14 +135,12 @@ class MultiplierTable:
                 if not (0 <= value <= 100):
                     raise ConfigurationError(f"unit {word!r} has value {value}, outside 0..100")
                 units[w] = value
-                spell_units.setdefault(value, w)
             elif kind == "multiplier":
                 if value < 1000 or not _is_power_of_ten(value):
                     raise ConfigurationError(
                         f"multiplier {word!r} has value {value}; expected a power of 10 >= 1000"
                     )
                 multipliers[w] = value
-                spell_multipliers.setdefault(value, w)
             elif kind == "currency_marker":
                 markers.add(w)
             else:
@@ -148,8 +150,6 @@ class MultiplierTable:
             units=units,
             multipliers=multipliers,
             currency_markers=frozenset(markers),
-            spell_units=spell_units,
-            spell_multipliers=spell_multipliers,
         )
 
     def merged_with(self, other: "MultiplierTable") -> "MultiplierTable":
@@ -168,18 +168,19 @@ class MultiplierTable:
             if multipliers.get(word, value) != value or word in units:
                 raise ConfigurationError(f"conflicting value for word {word!r} in merged table")
             multipliers.setdefault(word, value)
-        spell_units = dict(other.spell_units)
-        spell_units.update(self.spell_units)
-        spell_multipliers = dict(other.spell_multipliers)
-        spell_multipliers.update(self.spell_multipliers)
         return MultiplierTable(
             language=self.language,
             units=units,
             multipliers=multipliers,
             currency_markers=self.currency_markers | other.currency_markers,
-            spell_units=spell_units,
-            spell_multipliers=spell_multipliers,
         )
+
+
+def _first_words(words: Mapping[str, int]) -> dict[int, str]:
+    first: dict[int, str] = {}
+    for word, value in words.items():
+        first.setdefault(value, word)
+    return first
 
 
 def load_lexicon(path: str | Path, language: str | None = None) -> MultiplierTable:
@@ -381,9 +382,7 @@ def parse_amount_text(text: str, table: MultiplierTable) -> ParsedAmount | None:
     Currency markers are stripped and ignored; the remaining tokens must
     form exactly one amount.
     """
-    toks = [
-        t for t in tokenize(casefold_normalize(text)) if t not in table.currency_markers
-    ]
+    toks = [t for t in tokens_for_scoring(text) if t not in table.currency_markers]
     if not toks:
         return None
     return parse_number_words(toks, table)
@@ -395,7 +394,7 @@ def parse_currency_expression(text: str, table: MultiplierTable) -> list[ParsedA
     Currency markers never change a value and act as transparent tokens.
     Spans index into the marker-filtered token sequence.
     """
-    return _scan_amounts(tokenize(casefold_normalize(text)), table)
+    return _scan_amounts(tokens_for_scoring(text), table)
 
 
 def _scan_amounts(tokens: Iterable[str], table: MultiplierTable) -> list[ParsedAmount]:
@@ -439,7 +438,7 @@ def _spell_small(n: int, table: MultiplierTable) -> list[str]:
 
 
 def _spell_count(n: int, table: MultiplierTable) -> list[str]:
-    # 1..99999, the count in front of one multiplier.
+    # 0..99999: the count in front of one multiplier, or the part below a lakh.
     words: list[str] = []
     if n >= 1000:
         q, n = divmod(n, 1000)
@@ -466,16 +465,11 @@ def spell_number(value: int, table: MultiplierTable) -> list[str]:
         return [_spelling_word(table, 0, "unit")]
     words: list[str] = []
     n = value
-    for mult in (10**7, 10**5, 10**3):
+    for mult in (_CRORE, 10**5):
         if n >= mult:
             q, n = divmod(n, mult)
             words += _spell_count(q, table) + [_spelling_word(table, mult, "multiplier")]
-    if n >= 100:
-        q, n = divmod(n, 100)
-        words += _spell_small(q, table) + [_spelling_word(table, 100, "unit")]
-    if n:
-        words += _spell_small(n, table)
-    return words
+    return words + _spell_count(n, table)
 
 
 # ---------------------------------------------------------------------------

@@ -211,24 +211,19 @@ class DiagnosticVerdict:
     verdict: str
 
 
-def diagnose(
-    per_holdout_sfr: Mapping[str, float],
-    language: str,
-    threshold: float = SFR_DIAGNOSTIC_THRESHOLD,
-    min_below: int = SFR_DIAGNOSTIC_MIN_BELOW,
-) -> DiagnosticVerdict:
+def diagnose(per_holdout_sfr: Mapping[str, float], language: str) -> DiagnosticVerdict:
     """Decide whether script-fidelity adaptation is warranted.
 
-    The recipe applies only when vanilla SFR is strictly below the
-    threshold on at least ``min_below`` holdouts; with healthy SFR it is
-    contraindicated. Needs at least two holdouts to be meaningful.
+    The recipe applies only when vanilla SFR is strictly below 0.85
+    (SFR_DIAGNOSTIC_THRESHOLD) on at least SFR_DIAGNOSTIC_MIN_BELOW holdouts;
+    with healthy SFR it is contraindicated. Needs at least two holdouts.
     """
     if len(per_holdout_sfr) < 2:
         raise ConfigurationError(
             f"diagnostic needs at least 2 holdouts, got {len(per_holdout_sfr)}"
         )
-    below = sum(1 for value in per_holdout_sfr.values() if value < threshold)
-    verdict = VERDICT_APPLY if below >= min_below else VERDICT_CONTRAINDICATED
+    below = sum(1 for value in per_holdout_sfr.values() if value < SFR_DIAGNOSTIC_THRESHOLD)
+    verdict = VERDICT_APPLY if below >= SFR_DIAGNOSTIC_MIN_BELOW else VERDICT_CONTRAINDICATED
     return DiagnosticVerdict(language=language, per_holdout_sfr=dict(per_holdout_sfr), verdict=verdict)
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import unicodedata
 from dataclasses import dataclass
 
+from .errors import ConfigurationError
+
 
 def nfkc_normalize(text: str) -> str:
     """Compatibility normalization; maps fullwidth digits etc. to ASCII."""
@@ -38,18 +40,20 @@ def _strip_edges(token: str) -> str:
     return token[start:end]
 
 
-def tokenize(text: str, *, strip_edge_punctuation: bool = True) -> list[str]:
+def tokenize(text: str) -> list[str]:
     """Split NFKC text on whitespace, trimming punctuation at token edges.
 
     "plot no. 42, Jubilee Hills" -> ["plot", "no", "42", "Jubilee", "Hills"]
     """
     tokens = []
     for piece in nfkc_normalize(text).split():
-        if strip_edge_punctuation:
-            piece = _strip_edges(piece)
+        piece = _strip_edges(piece)
         if piece:
             tokens.append(piece)
     return tokens
+
+
+NORM_MODES = ("default", "strict")
 
 
 @dataclass(frozen=True)
@@ -60,35 +64,35 @@ class NormConfig:
     mode compares NFKC text as-is apart from whitespace collapsing.
     """
 
-    casefold: bool = True
-    strip_edge_punctuation: bool = True
+    mode: str = "default"
+
+    def __post_init__(self) -> None:
+        if self.mode not in NORM_MODES:
+            raise ConfigurationError(
+                f"unknown normalization mode {self.mode!r} (expected 'default' or 'strict')"
+            )
 
     @property
     def label(self) -> str:
-        return "default" if self == DEFAULT_NORM else "strict" if self == STRICT_NORM else "custom"
+        return self.mode
 
 
 DEFAULT_NORM = NormConfig()
-STRICT_NORM = NormConfig(casefold=False, strip_edge_punctuation=False)
+STRICT_NORM = NormConfig("strict")
 
 
 def norm_config_from_label(label: str) -> NormConfig:
-    if label == "default":
-        return DEFAULT_NORM
-    if label == "strict":
-        return STRICT_NORM
-    from .errors import ConfigurationError
-
-    raise ConfigurationError(f"unknown normalization mode {label!r} (expected 'default' or 'strict')")
+    return NormConfig(label)
 
 
 def normalize_for_scoring(text: str, config: NormConfig = DEFAULT_NORM) -> str:
     """Character-level scoring form: NFKC (+casefold), whitespace collapsed."""
-    out = casefold_normalize(text) if config.casefold else nfkc_normalize(text)
+    out = casefold_normalize(text) if config.mode == "default" else nfkc_normalize(text)
     return collapse_whitespace(out)
 
 
 def tokens_for_scoring(text: str, config: NormConfig = DEFAULT_NORM) -> list[str]:
-    """Token-level scoring form used by WER."""
-    out = casefold_normalize(text) if config.casefold else nfkc_normalize(text)
-    return tokenize(out, strip_edge_punctuation=config.strip_edge_punctuation)
+    """Token-level scoring form used by WER and by the matchers."""
+    if config.mode == "default":
+        return tokenize(casefold_normalize(text))
+    return nfkc_normalize(text).split()

@@ -18,7 +18,7 @@ import test_matchers as matcher_suite
 from indicscore.cli import main as cli_main
 from indicscore.corpus import ManifestRow, save_manifest
 from indicscore.distance import levenshtein
-from indicscore.matchers import EntityToken, ScoringConfig, aggregate_ehr, score_utterance
+from indicscore.matchers import EntityToken, MatchResult, ScoringConfig, aggregate_ehr, score_utterance
 from indicscore.numbers import (
     ENGLISH_TABLE,
     load_language_table,
@@ -53,14 +53,14 @@ def test_criterion_01_ehr_micro_and_macro_from_reference_tallies():
     vanilla = dict(zip(classes, [(28, 0), (17, 4), (93, 0), (12, 0)]))
     adapted = dict(zip(classes, [(28, 22), (17, 9), (93, 34), (12, 6)]))
 
-    def pairs(tallies):
+    def results(tallies):
         out = []
         for cls, (n, hits) in tallies.items():
-            out += [(cls, True)] * hits + [(cls, False)] * (n - hits)
+            out += [MatchResult(cls, cls, True)] * hits + [MatchResult(cls, cls, False)] * (n - hits)
         return out
 
-    before = aggregate_ehr(pairs(vanilla))
-    after = aggregate_ehr(pairs(adapted))
+    before = aggregate_ehr(results(vanilla))
+    after = aggregate_ehr(results(adapted))
     assert before.micro == pytest.approx(0.027, abs=TOL)
     assert before.macro == pytest.approx(0.059, abs=TOL)
     assert after.micro == pytest.approx(0.473, abs=TOL)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import stat
@@ -5,7 +6,10 @@ import threading
 
 import pytest
 
-from indicscore.cli import main
+from indicscore.cli import build_parser, main
+from indicscore.matchers import CURRENCY_MODES
+from indicscore.numbers import REWRITE_MODES
+from indicscore.textnorm import NORM_MODES
 
 TE_ROWS = [
     {
@@ -129,6 +133,26 @@ def test_score_malformed_holdout_exits_2(tmp_path, preds_path, capsys):
     code = run("score", "--holdout", str(bad), "--predictions", preds_path, "--lang", "te")
     assert code == 2
     assert "data error" in capsys.readouterr().err
+
+
+def test_score_non_string_token_language_exits_2(tmp_path, preds_path, capsys):
+    token = {"surface": "₹5,00,000", "class": "currency_amount", "language": 5}
+    holdout = tmp_path / "holdout.jsonl"
+    holdout.write_text(json.dumps({**TE_ROWS[1], "entity_tokens": [token]}) + "\n", encoding="utf-8")
+    code = run("score", "--holdout", str(holdout), "--predictions", preds_path, "--lang", "te")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"data error: malformed holdout file {holdout}\n  line 1: entity token language must be a string\n"
+    )
+
+
+def test_score_unknown_token_language_is_a_configuration_error(tmp_path, preds_path, capsys):
+    token = {"surface": "₹5,00,000", "class": "currency_amount", "language": "xx"}
+    holdout = tmp_path / "holdout.jsonl"
+    holdout.write_text(json.dumps({**TE_ROWS[1], "entity_tokens": [token]}) + "\n", encoding="utf-8")
+    code = run("score", "--holdout", str(holdout), "--predictions", preds_path, "--lang", "te")
+    assert code == 1
+    assert "no bundled number lexicon for language 'xx'" in capsys.readouterr().err
 
 
 def test_score_missing_file_exits_2(holdout_path):
@@ -682,3 +706,17 @@ def test_pipeline_reports_an_output_error_before_an_error_in_the_rows(tmp_path, 
     assert run("pipeline", "rewrite-digits", "--manifest", manifest, "--out", str(out)) == 2
     assert capsys.readouterr().err.startswith(f"data error: row {MANIFEST[0]['id']!r}: ")
     assert not out.exists()
+
+
+def parser_option(*verbs, dest):
+    parser = build_parser()
+    for verb in verbs:
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = sub.choices[verb]
+    return next(a for a in parser._actions if a.dest == dest)
+
+
+def test_parser_choices_are_the_package_constants():
+    assert parser_option("score", dest="currency_mode").choices == CURRENCY_MODES
+    assert parser_option("score", dest="normalization").choices == NORM_MODES
+    assert parser_option("pipeline", "rewrite-digits", dest="mode").choices == REWRITE_MODES

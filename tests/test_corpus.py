@@ -123,6 +123,33 @@ def test_load_holdout_aggregates_all_problems(jsonl_writer, tmp_path):
     assert "line 5" in message and "phone" in message
 
 
+@pytest.mark.parametrize("language", [5, ["te"], {"code": "te"}, True])
+def test_entity_token_language_must_be_a_string(jsonl_writer, language):
+    token = {"surface": "₹500", "class": "currency_amount", "language": language}
+    holdout = jsonl_writer(
+        "h.jsonl", [{"id": "u1", "text": "ok"}, {"id": "u2", "text": "₹500", "entity_tokens": [token]}]
+    )
+    with pytest.raises(DataError) as exc:
+        load_holdout(holdout)
+    assert "line 2: entity token language must be a string" in str(exc.value)
+    manifest = jsonl_writer(
+        "m.jsonl",
+        [{"id": "m1", "text": "₹500", "language": "te", "corpus_class": "currency", "entity_tokens": [token]}],
+    )
+    with pytest.raises(DataError) as exc:
+        load_manifest(manifest)
+    assert "line 1: entity token language must be a string" in str(exc.value)
+
+
+def test_entity_token_language_may_be_a_string_or_null(jsonl_writer):
+    tokens = [{"surface": "₹500", "language": "ta"}, {"surface": "₹600", "language": None}]
+    path = jsonl_writer(
+        "h.jsonl",
+        [{"id": "u1", "text": "₹500 ₹600", "language": "te", "entity_class": "currency", "entity_tokens": tokens}],
+    )
+    assert [t.language for t in load_holdout(path)[0].entity_tokens] == ["ta", None]
+
+
 def test_load_holdout_ignores_unknown_fields(jsonl_writer):
     path = jsonl_writer(
         "h.jsonl", [{"id": "u1", "text": "x", "speaker": "f3", "duration_ms": 1200}]
@@ -543,7 +570,6 @@ def test_validate_requires_language():
     row = HoldoutRow(id="u1", text="hello world okay")
     with pytest.raises(DataError):
         validate_corpus_row(row)
-    assert validate_corpus_row(row, language="te") != []  # explicit language works
 
 
 def test_validate_manifest_rows_too():
@@ -553,7 +579,7 @@ def test_validate_manifest_rows_too():
 
 def test_validation_config_thresholds():
     row = HoldoutRow(id="u1", text="ఒకటి రెండు మూడు నాలుగア", language="te")
-    strict = ValidationConfig(min_tokens=1, purity_threshold=1.0)
+    strict = ValidationConfig(purity_threshold=1.0)
     assert "script_purity" in [v.kind for v in validate_corpus_row(row, config=strict)]
 
 

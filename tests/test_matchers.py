@@ -10,6 +10,7 @@ from indicscore.matchers import (
     MATCHER_CLASSES,
     AliasTable,
     EntityToken,
+    MatchResult,
     ScoringConfig,
     aggregate_ehr,
     lcs_length,
@@ -375,9 +376,12 @@ def test_score_utterance_uses_config_language_table():
     assert results[0].hit
 
 
+def results(pairs):
+    return [MatchResult(cls, cls, hit) for cls, hit in pairs]
+
+
 def test_aggregate_ehr_micro_and_macro():
-    pairs = [("digit_run", True), ("digit_run", False), ("brand", True)]
-    report = aggregate_ehr(pairs)
+    report = aggregate_ehr(results([("digit_run", True), ("digit_run", False), ("brand", True)]))
     assert report.per_class["digit_run"].n == 2
     assert report.micro == pytest.approx(2 / 3)
     assert report.macro == pytest.approx((0.5 + 1.0) / 2)
@@ -396,7 +400,7 @@ def test_aggregate_ehr_empty():
 
 
 def test_aggregate_ehr_zero_count_classes_do_not_appear():
-    report = aggregate_ehr([("brand", True)])
+    report = aggregate_ehr(results([("brand", True)]))
     assert set(report.per_class) == {"brand"}
 
 
@@ -406,7 +410,7 @@ def test_aggregate_ehr_zero_count_classes_do_not_appear():
     )
 )
 def test_aggregate_ehr_micro_matches_pooled_count(pairs):
-    report = aggregate_ehr(pairs)
+    report = aggregate_ehr(results(pairs))
     assert report.micro == pytest.approx(sum(h for _, h in pairs) / len(pairs))
     assert 0.0 <= report.macro <= 1.0
 

@@ -1,12 +1,18 @@
 from fractions import Fraction
+from importlib import resources
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from indicscore.errors import ConfigurationError, DataError
+from indicscore.matchers import ScoringConfig
 from indicscore.numbers import (
     ENGLISH_TABLE,
+    _english_entries,
+    _spell_count,
+    _spell_small,
+    _spelling_word,
     MultiplierTable,
     load_language_table,
     load_lexicon,
@@ -17,6 +23,7 @@ from indicscore.numbers import (
     rewrite_digit_runs,
     spell_number,
 )
+from indicscore.textnorm import casefold_normalize
 
 EN = ENGLISH_TABLE
 TE = load_language_table("te")
@@ -274,6 +281,35 @@ def test_spell_parse_round_trip(value, lang):
     assert parsed.value == value
 
 
+def oracle_spell_number(value, table):
+    # spell_number as it stood with its own thousand, hundred and unit steps
+    if value == 0:
+        return [_spelling_word(table, 0, "unit")]
+    words = []
+    n = value
+    for mult in (10**7, 10**5, 10**3):
+        if n >= mult:
+            q, n = divmod(n, mult)
+            words += _spell_count(q, table) + [_spelling_word(table, mult, "multiplier")]
+    if n >= 100:
+        q, n = divmod(n, 100)
+        words += _spell_small(q, table) + [_spelling_word(table, 100, "unit")]
+    if n:
+        words += _spell_small(n, table)
+    return words
+
+
+@settings(max_examples=300)
+@given(st.integers(min_value=0, max_value=10**12 - 1), st.sampled_from(sorted(ALL_TABLES)))
+@example(0, "te")
+@example(99999, "ta")
+@example(10**5, "hi")
+@example(10**7 + 1, "en")
+def test_spell_number_matches_its_former_steps(value, lang):
+    table = ALL_TABLES[lang]
+    assert spell_number(value, table) == oracle_spell_number(value, table)
+
+
 # ---------------------------------------------------------------------------
 # Digit-run rewriting
 # ---------------------------------------------------------------------------
@@ -382,6 +418,47 @@ def test_first_spelling_wins():
     )
     assert table.spell_units[5] == "five"
     assert parse_number_words(["fiver"], table).value == 5
+
+
+def lexicon_entries(lang):
+    # (word, value, kind) in the order the bundled table lists them
+    if lang == "en":
+        return [(word, value, kind) for word, value, kind, _ in _english_entries()]
+    lexicon = resources.files("indicscore").joinpath("data", "lexicons", f"{lang}.tsv")
+    entries = []
+    for line in lexicon.read_text(encoding="utf-8").splitlines():
+        line = line.split("#", 1)[0].strip()
+        if line:
+            word, value, kind, _ = (f.strip() for f in line.split("\t"))
+            entries.append((word, 0 if kind == "currency_marker" else int(value), kind))
+    return entries
+
+
+def stored_spellings(lang):
+    # the spelling maps from_entries used to store: the first word per value
+    units, multipliers = {}, {}
+    for word, value, kind in lexicon_entries(lang):
+        if kind in ("unit", "multiplier"):
+            spellings = units if kind == "unit" else multipliers
+            spellings.setdefault(value, casefold_normalize(word).strip())
+    return units, multipliers
+
+
+@pytest.mark.parametrize("lang", sorted(ALL_TABLES))
+def test_derived_spellings_equal_the_stored_ones(lang):
+    units, multipliers = stored_spellings(lang)
+    assert ALL_TABLES[lang].spell_units == units
+    assert ALL_TABLES[lang].spell_multipliers == multipliers
+
+
+@pytest.mark.parametrize("lang", ["te", "ta", "hi"])
+def test_derived_spellings_of_an_english_merge_equal_the_stored_ones(lang):
+    # merged_with stored the other table's maps updated with its own
+    units, multipliers = stored_spellings(lang)
+    en_units, en_multipliers = stored_spellings("en")
+    merged = ScoringConfig(language=lang).table_for(lang)
+    assert merged.spell_units == {**en_units, **units}
+    assert merged.spell_multipliers == {**en_multipliers, **multipliers}
 
 
 def test_merged_with_prefers_own_entries():

@@ -32,10 +32,6 @@ def test_tokenize_drops_tokens_that_are_all_punctuation():
     assert tokenize("wait - ... ok") == ["wait", "ok"]
 
 
-def test_tokenize_can_keep_edges():
-    assert tokenize("(hello)", strip_edge_punctuation=False) == ["(hello)"]
-
-
 def test_casefold_handles_compatibility_forms():
     # fullwidth digits and the Kelvin sign normalize to plain forms
     assert casefold_normalize("５０") == "50"
@@ -49,7 +45,8 @@ def test_collapse_whitespace():
 def test_norm_config_labels():
     assert DEFAULT_NORM.label == "default"
     assert STRICT_NORM.label == "strict"
-    assert NormConfig(casefold=False, strip_edge_punctuation=True).label == "custom"
+    with pytest.raises(ConfigurationError):
+        NormConfig("custom")
     assert norm_config_from_label("default") == DEFAULT_NORM
     assert norm_config_from_label("strict") == STRICT_NORM
     with pytest.raises(ConfigurationError):
