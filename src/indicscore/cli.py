@@ -9,13 +9,17 @@ Verbs:
 
 Exit codes: 0 success, 1 usage/configuration error, 2 data error.
 All output is deterministic: the same inputs produce byte-identical files.
+
+Each verb imports the modules it runs inside its own function, so that the
+pipeline verbs load neither the scorer nor the number parser (only
+rewrite-digits spells numbers), and score, diagnose and compare do not load
+the pipeline.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import dataclasses
 import io
 import json
@@ -25,13 +29,10 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from . import corpus, scorecard
+from . import corpus
 from .errors import ConfigurationError, DataError, read_utf8
-from .matchers import CURRENCY_MODES, AliasTable, ScoringConfig
-from .numbers import REWRITE_MODES, load_language_table, load_lexicon, rewrite_digit_runs
 from .script import LANGUAGES, aggregate_sfr, sfr
-from .scorecard import format_value
-from .textnorm import NORM_MODES, norm_config_from_label
+from .textnorm import CURRENCY_MODES, NORM_MODES, REWRITE_MODES, format_value, norm_config_from_label
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -65,6 +66,8 @@ def _print_records(records: list[dict]) -> None:
 def _print_csv(rows: list[dict]) -> None:
     if not rows:
         return
+    import csv
+
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=list(rows[0].keys()), lineterminator="\n")
     writer.writeheader()
@@ -77,6 +80,8 @@ def _print_csv(rows: list[dict]) -> None:
 # ---------------------------------------------------------------------------
 
 def _flatten_scorecard(record: dict) -> dict:
+    from . import scorecard
+
     flat = {key: record[key] for key in ("system", "holdout", "language", "n")}
     flat.update(scorecard._metric_values(record))
     for cls, tally in record["ehr"]["per_class"].items():
@@ -85,6 +90,10 @@ def _flatten_scorecard(record: dict) -> dict:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
+    from . import scorecard
+    from .matchers import AliasTable, ScoringConfig
+    from .numbers import load_lexicon
+
     rows = corpus.load_holdout(args.holdout)
     predictions = corpus.load_predictions(args.predictions)
     systems = sorted({p.system for p in predictions})
@@ -168,6 +177,8 @@ def _parse_named_value(option: str) -> tuple[str, str]:
 
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
+    from . import scorecard
+
     per_holdout: dict[str, float] = {}
     for option in args.sfr or ():
         name, raw = _parse_named_value(option)
@@ -212,6 +223,8 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _load_scorecard_record(path: str) -> dict:
+    from . import scorecard
+
     try:
         record = json.loads(read_utf8(path))
     except json.JSONDecodeError as exc:
@@ -230,6 +243,8 @@ def _load_scorecard_record(path: str) -> dict:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from . import scorecard
+
     baseline = _load_scorecard_record(args.baseline)
     candidates = [_load_scorecard_record(p) for p in args.scorecards]
     comparisons = scorecard.compare_records(baseline, candidates)
@@ -254,9 +269,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------------
 # pipeline
-#
-# The verbs that need the pipeline module import it themselves, so that
-# score, diagnose and compare neither load nor compile it.
 # ---------------------------------------------------------------------------
 
 def _parse_weights(raw: str) -> dict[str, float]:
@@ -395,6 +407,8 @@ def cmd_pipeline_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_pipeline_rewrite_digits(args: argparse.Namespace) -> int:
+    from .numbers import load_language_table, rewrite_digit_runs
+
     changed = 0
     with _reading(args.manifest) as rows, corpus.manifest_writers(args.out) as (out,):
         for row in rows:

@@ -19,10 +19,16 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .errors import DataError
-from .matchers import MATCHER_CLASSES, EntityToken
+from .errors import ConfigurationError, DataError
 from .script import script_block, script_purity_check
 from .textnorm import nfkc_normalize, tokenize
+
+# The entity classes a token may name, each scored by its own matcher in
+# `matchers`. The class vocabulary lives here, with the token, so that the
+# loaders need not import the matchers.
+MATCHER_CLASSES = (
+    "digit_run", "pincode", "currency_amount", "brand", "proper_noun", "spelled_digit", "house_or_plot"
+)
 
 # Corpus-level utterance classes. Rows of the first four imply a single
 # matcher class, so their entity tokens may be written as plain strings.
@@ -41,6 +47,23 @@ MANIFEST_STATUSES = ("pending", "synthesized", "filtered_out", "accepted")
 
 # Forward-only transition ranks; the two terminal states share a rank.
 _STATUS_RANK = {"pending": 0, "synthesized": 1, "filtered_out": 2, "accepted": 2}
+
+
+@dataclass(frozen=True)
+class EntityToken:
+    """One reference entity: a surface string plus its matcher class."""
+
+    surface: str
+    matcher_class: str
+    language: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.matcher_class not in MATCHER_CLASSES:
+            raise ConfigurationError(
+                f"unknown matcher class {self.matcher_class!r} for token {self.surface!r}"
+            )
+        if not self.surface:
+            raise ConfigurationError("entity token surface must be non-empty")
 
 
 @dataclass(frozen=True)

@@ -41,14 +41,13 @@ from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
+from .corpus import MATCHER_CLASSES, EntityToken
 from .distance import _position_masks
 from .errors import ConfigurationError, ReferenceDataError, read_utf8
-from .numbers import MultiplierTable, _scan_amounts, load_language_table, parse_amount_text
-from .textnorm import casefold_normalize, nfkc_normalize, tokenize, tokens_for_scoring
+from .numbers import MultiplierTable, _parse_amount_tokens, _scan_amounts, load_language_table
+from .textnorm import CURRENCY_MODES, casefold_normalize, nfkc_normalize, tokenize, tokens_for_scoring
 
 logger = logging.getLogger(__name__)
-
-CURRENCY_MODES = ("strict", "bidirectional")
 
 # Relative tolerance for currency comparison: half a percent, inclusive.
 CURRENCY_TOLERANCE = Fraction(1, 200)
@@ -63,23 +62,6 @@ LCS_THRESHOLD = 0.80
 # A maximal digit run, permitting a single grouping comma or space between
 # digits so that "98765 43210" and "9,876,543,210" fuse to one run.
 _FUSED_RUN_RE = re.compile(r"[0-9](?:[ ,]?[0-9])*")
-
-
-@dataclass(frozen=True)
-class EntityToken:
-    """One reference entity: a surface string plus its matcher class."""
-
-    surface: str
-    matcher_class: str
-    language: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.matcher_class not in MATCHER_CLASSES:
-            raise ConfigurationError(
-                f"unknown matcher class {self.matcher_class!r} for token {self.surface!r}"
-            )
-        if not self.surface:
-            raise ConfigurationError("entity token surface must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -98,19 +80,25 @@ class AliasTable:
     """Groups of equivalent brand surfaces (canonical name plus aliases)."""
 
     def __init__(self, groups: Iterable[Iterable[str]] = ()):
-        self._groups: list[tuple[str, ...]] = []
+        # per group, each casefolded alias with its tokens, tokenized once at load
+        self._groups: list[tuple[tuple[str, list[str]], ...]] = []
         self._index: dict[str, int] = {}
         for group in groups:
             normalized = tuple(dict.fromkeys(casefold_normalize(g) for g in group))
             if not normalized:
                 continue
             idx = len(self._groups)
-            self._groups.append(normalized)
+            self._groups.append(tuple((alias, tokenize(alias)) for alias in normalized))
             for surface in normalized:
                 # a surface may appear in one group only; first group wins
                 self._index.setdefault(surface, idx)
 
     def lookup(self, surface: str) -> tuple[str, ...] | None:
+        forms = self._lookup_forms(surface)
+        return tuple(alias for alias, _ in forms) if forms is not None else None
+
+    def _lookup_forms(self, surface: str) -> tuple[tuple[str, list[str]], ...] | None:
+        # lookup's group as (alias, alias tokens) pairs
         idx = self._index.get(casefold_normalize(surface))
         return self._groups[idx] if idx is not None else None
 
@@ -213,12 +201,12 @@ def _match_pincode(token: EntityToken, hyp: _Hypothesis, config: ScoringConfig) 
 def _match_currency(token: EntityToken, hyp: _Hypothesis, config: ScoringConfig) -> MatchResult:
     """Numeric currency match within +/-0.5 percent of the reference value."""
     table = config.table_for(token.language)
-    parsed = parse_amount_text(token.surface, table)
+    needle = tokens_for_scoring(token.surface)
+    parsed = _parse_amount_tokens(needle, table)  # parse_amount_text(token.surface, table)
     if parsed is None:
         raise ReferenceDataError(f"currency token {token.surface!r} does not parse as an amount")
 
     # Verbatim recovery of the reference surface always counts.
-    needle = tokens_for_scoring(token.surface)
     if _contains_token_seq(hyp.tokens, needle):
         return MatchResult(token.surface, "currency_amount", True, "surface recovered verbatim")
 
@@ -243,12 +231,12 @@ def _match_currency(token: EntityToken, hyp: _Hypothesis, config: ScoringConfig)
 
 def _match_brand(token: EntityToken, hyp: _Hypothesis, config: ScoringConfig) -> MatchResult:
     """Casefolded whole-token alias match ("Paytm" != "paytime")."""
-    group = config.aliases.lookup(token.surface) if config.aliases is not None else None
-    if group is None:
+    forms = config.aliases._lookup_forms(token.surface) if config.aliases is not None else None
+    if forms is None:
         logger.warning("brand %r has no alias entry; matching on its own surface only", token.surface)
-        group = (casefold_normalize(token.surface),)
-    for alias in group:
-        if _contains_token_seq(hyp.tokens, tokenize(alias)):
+        forms = ((casefold_normalize(token.surface), tokens_for_scoring(token.surface)),)
+    for alias, alias_tokens in forms:
+        if _contains_token_seq(hyp.tokens, alias_tokens):
             return MatchResult(token.surface, "brand", True, f"alias {alias!r} present")
     return MatchResult(token.surface, "brand", False)
 
@@ -315,7 +303,8 @@ _MATCHERS: Mapping[str, Callable[[EntityToken, _Hypothesis, ScoringConfig], Matc
     "house_or_plot": _match_house_or_plot,
 }
 
-MATCHER_CLASSES = tuple(_MATCHERS)
+if tuple(_MATCHERS) != MATCHER_CLASSES:
+    raise ImportError("the matcher table and corpus.MATCHER_CLASSES name different classes")
 
 
 # ---------------------------------------------------------------------------

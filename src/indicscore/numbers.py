@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ConfigurationError, DataError, read_utf8
-from .textnorm import casefold_normalize, nfkc_normalize, tokens_for_scoring
+from .textnorm import REWRITE_MODES, casefold_normalize, nfkc_normalize, tokens_for_scoring
 
 _CRORE = 10**7
 _SPELL_LIMIT = 10**12
@@ -368,9 +368,13 @@ def parse_number_words(tokens: Sequence[str], table: MultiplierTable) -> ParsedA
     Trailing tokens that are not part of the amount make the parse fail;
     use `parse_currency_expression` to scan free text instead.
     """
-    norm = [casefold_normalize(t) for t in tokens]
-    result = _parse_run(norm, table)
-    if result is None or result[1] != len(norm):
+    return _parse_words([casefold_normalize(t) for t in tokens], table)
+
+
+def _parse_words(tokens: Sequence[str], table: MultiplierTable) -> ParsedAmount | None:
+    # parse_number_words over tokens already casefold-normalized
+    result = _parse_run(tokens, table)
+    if result is None or result[1] != len(tokens):
         return None
     value, consumed, form = result
     return ParsedAmount(value, (0, consumed), form)
@@ -382,10 +386,15 @@ def parse_amount_text(text: str, table: MultiplierTable) -> ParsedAmount | None:
     Currency markers are stripped and ignored; the remaining tokens must
     form exactly one amount.
     """
-    toks = [t for t in tokens_for_scoring(text) if t not in table.currency_markers]
+    return _parse_amount_tokens(tokens_for_scoring(text), table)
+
+
+def _parse_amount_tokens(tokens: Iterable[str], table: MultiplierTable) -> ParsedAmount | None:
+    # parse_amount_text over the text's tokens_for_scoring, which are casefolded
+    toks = [t for t in tokens if t not in table.currency_markers]
     if not toks:
         return None
-    return parse_number_words(toks, table)
+    return _parse_words(toks, table)
 
 
 def parse_currency_expression(text: str, table: MultiplierTable) -> list[ParsedAmount]:
@@ -475,9 +484,6 @@ def spell_number(value: int, table: MultiplierTable) -> list[str]:
 # ---------------------------------------------------------------------------
 # Digit-run rewriting
 # ---------------------------------------------------------------------------
-
-REWRITE_MODES = ("grouped", "digit_by_digit")
-
 
 def rewrite_digit_runs(text: str, table: MultiplierTable, mode: str = "grouped") -> str:
     """Replace every maximal ASCII digit run with its spelled-out form.

@@ -10,7 +10,6 @@ from the bucket name).
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import random
 from collections import Counter
@@ -19,6 +18,17 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .corpus import ManifestRow, SYNTH_SYSTEMS, with_status
 from .errors import ConfigurationError, DataError
+
+# CPython's own SHA-256, as random.py takes its SHA-512: importing hashlib
+# would map OpenSSL's libcrypto into every pipeline verb. FIPS 180-4 fixes
+# the digest, so every implementation routes every row alike.
+try:
+    from _sha2 import sha256 as _sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.10 and 3.11
+    except ImportError:  # a build without the built-in module
+        from hashlib import sha256 as _sha256
 
 logger = logging.getLogger(__name__)
 
@@ -86,7 +96,7 @@ class RouterPolicy:
 
 
 def _unit_interval_hash(seed: int, row_id: str) -> float:
-    digest = hashlib.sha256(f"{seed}:{row_id}".encode("utf-8")).digest()
+    digest = _sha256(f"{seed}:{row_id}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") / 2**64
 
 

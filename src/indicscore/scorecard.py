@@ -16,7 +16,7 @@ from .distance import ErrorRate, cer, wer
 from .errors import ConfigurationError, DataError
 from .matchers import EhrReport, MatchResult, ScoringConfig, aggregate_ehr, score_utterance
 from .script import SfrResult, aggregate_sfr, sfr
-from .textnorm import DEFAULT_NORM, NormConfig
+from .textnorm import DEFAULT_NORM, NormConfig, format_value
 
 
 @dataclass(frozen=True)
@@ -127,11 +127,6 @@ def score_predictions(
 # ---------------------------------------------------------------------------
 # Rendering and records
 # ---------------------------------------------------------------------------
-
-def format_value(value: float | None, decimals: int = 3) -> str:
-    """Fixed 3-decimal formatting; NA renders as an em dash."""
-    return "—" if value is None else f"{value:.{decimals}f}"
-
 
 def scorecard_record(card: Scorecard) -> dict:
     """JSON-safe record with full-precision values."""

@@ -3,7 +3,8 @@
 All text comparison in this package funnels through these helpers so the
 same NFKC / casefold / whitespace conventions apply everywhere. Casefolding
 follows the NFKC_Casefold construction (NFKC, casefold, NFKC again), which
-is stable under repeated application.
+is stable under repeated application. The module also holds what every CLI
+verb shares: the mode vocabularies and the fixed-decimal number rendering.
 """
 
 from __future__ import annotations
@@ -53,7 +54,11 @@ def tokenize(text: str) -> list[str]:
     return tokens
 
 
+# The modes the CLI offers as choices. They live in this module, which every
+# verb loads, so that building the parser imports neither matchers nor numbers.
 NORM_MODES = ("default", "strict")
+CURRENCY_MODES = ("strict", "bidirectional")  # matchers: how currency amounts compare
+REWRITE_MODES = ("grouped", "digit_by_digit")  # numbers: how digit runs are spelled
 
 
 @dataclass(frozen=True)
@@ -83,6 +88,11 @@ STRICT_NORM = NormConfig("strict")
 
 def norm_config_from_label(label: str) -> NormConfig:
     return NormConfig(label)
+
+
+def format_value(value: float | None, decimals: int = 3) -> str:
+    """Fixed 3-decimal formatting; NA renders as an em dash."""
+    return "—" if value is None else f"{value:.{decimals}f}"
 
 
 def normalize_for_scoring(text: str, config: NormConfig = DEFAULT_NORM) -> str:

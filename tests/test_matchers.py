@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from indicscore import corpus
 from indicscore.errors import ConfigurationError, ReferenceDataError
 from indicscore.matchers import (
     CURRENCY_TOLERANCE,
@@ -147,10 +148,18 @@ class TestMatcherRuleBoundaries:
         with caplog.at_level(logging.WARNING):
             result = score_one(token("Zomato", "brand"), "order on zomato", aliases=BRANDS)
         assert result.hit
+        assert result.detail == "alias 'zomato' present"
         assert any("no alias entry" in r.message for r in caplog.records)
 
     def test_brand_empty_hypothesis_misses(self):
         assert not score_one(token("Paytm", "brand"), "", aliases=BRANDS).hit
+
+    def test_alias_lookup_is_casefolded_and_first_group_wins(self):
+        table = AliasTable([("Paytm", "paytm", "పేటీఎం"), ("PayTM Mall", "PAYTM"), ()])
+        assert len(table) == 2
+        assert table.lookup("PAYTM") == ("paytm", "పేటీఎం")
+        assert table.lookup("paytm mall") == ("paytm mall", "paytm")
+        assert table.lookup("Swiggy") is None
 
     # -- proper_noun ---------------------------------------------------------
 
@@ -342,6 +351,11 @@ def test_entity_token_validates_class():
     with pytest.raises(ConfigurationError):
         EntityToken(surface="x", matcher_class="phone")
     assert len(MATCHER_CLASSES) == 7
+
+
+def test_matchers_reexport_the_corpus_token_model():
+    assert EntityToken is corpus.EntityToken
+    assert MATCHER_CLASSES is corpus.MATCHER_CLASSES
 
 
 # ---------------------------------------------------------------------------

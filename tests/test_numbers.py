@@ -10,6 +10,7 @@ from indicscore.matchers import ScoringConfig
 from indicscore.numbers import (
     ENGLISH_TABLE,
     _english_entries,
+    _parse_amount_tokens,
     _spell_count,
     _spell_small,
     _spelling_word,
@@ -23,7 +24,7 @@ from indicscore.numbers import (
     rewrite_digit_runs,
     spell_number,
 )
-from indicscore.textnorm import casefold_normalize
+from indicscore.textnorm import casefold_normalize, tokens_for_scoring
 
 EN = ENGLISH_TABLE
 TE = load_language_table("te")
@@ -194,6 +195,23 @@ def test_parse_amount_text_with_markers():
 def test_parse_amount_text_whole_input_only():
     assert parse_amount_text("about five lakh total", EN) is None
     assert parse_amount_text("", EN) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.sampled_from(["₹5,00,000", "Five", "LAKH", "ఐదు", "లక్షల", "rupees", "1.5", "ß", "K"])
+        | st.text(max_size=6),
+        max_size=6,
+    ).map(" ".join),
+    st.sampled_from([EN, TE.merged_with(EN)]),
+)
+def test_amount_parse_from_scoring_tokens_equals_parse_amount_text(text, table):
+    # The matchers parse a currency surface from its scoring tokens, which are
+    # casefolded already, and so skip parse_number_words' casefold.
+    tokens = tokens_for_scoring(text)
+    assert all(casefold_normalize(t) == t for t in tokens)
+    assert _parse_amount_tokens(tokens, table) == parse_amount_text(text, table)
 
 
 def test_parse_currency_expression_scans():

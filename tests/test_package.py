@@ -1,16 +1,123 @@
+import importlib.util
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 import indicscore
+from conftest import write_jsonl
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SRC = str(Path(indicscore.__file__).resolve().parent.parent)
+
+
+def run_python(code, *args):
+    """Run ``code`` in a fresh interpreter that imports this checkout's package."""
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return result
 
 
 def test_all_names_resolve_without_duplicates():
     missing = [name for name in indicscore.__all__ if not hasattr(indicscore, name)]
     assert missing == []
     assert len(indicscore.__all__) == len(set(indicscore.__all__))
+
+
+def test_import_loads_no_submodule_until_a_name_is_read():
+    code = (
+        "import json, sys, indicscore\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('indicscore.'))\n"
+        "before = loaded()\n"
+        "indicscore.cer\n"
+        "print(json.dumps([before, loaded()]))\n"
+    )
+    assert json.loads(run_python(code).stdout) == [
+        [], ["indicscore.distance", "indicscore.errors", "indicscore.textnorm"]
+    ]
+    assert set(indicscore.__all__) <= set(dir(indicscore))
+    with pytest.raises(AttributeError):
+        indicscore.no_such_name
+
+
+# A verb's modules are listed after it exits, on the last line of stderr.
+VERB_BOOT = (
+    "import json, sys\n"
+    "from indicscore.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(json.dumps([code, sorted(sys.modules)]), file=sys.stderr)\n"
+)
+
+HAS_BUILTIN_SHA256 = any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256"))
+
+PIPELINE_VERBS = {
+    "validate": ["--manifest", "{m}"],
+    "route": ["--manifest", "{m}", "--out", "{o}", "--seed", "5"],
+    "filter": ["--manifest", "{m}", "--out", "{o}", "--rejected", "{o}.rejected"],
+    "split": ["--manifest", "{m}", "--out-train", "{o}", "--out-heldout", "{o}.heldout"],
+    "balance": ["--manifest", "{m}", "--out", "{o}", "--per-class", "1"],
+    "rewrite-digits": ["--manifest", "{m}", "--out", "{o}"],
+}
+
+
+def verb_modules(*argv):
+    code, modules = json.loads(run_python(VERB_BOOT, *argv).stderr.splitlines()[-1])
+    assert code == 0
+    return set(modules)
+
+
+@pytest.mark.parametrize("verb", sorted(PIPELINE_VERBS))
+def test_pipeline_verb_loads_neither_scorer_nor_openssl(tmp_path, verb):
+    text = "పిన్ కోడ్ 500081 పంపండి సరే"
+    manifest = write_jsonl(tmp_path / "manifest.jsonl", [
+        {"id": f"r{i}", "text": text, "language": "te", "corpus_class": "digits",
+         "entity_tokens": ["500081"], "synth_system": system, "cer_against_source": 0.1,
+         "status": "accepted"}
+        for i, system in enumerate(["praxy", "cartesia", "elevenlabs"])
+    ])
+    args = [a.format(m=manifest, o=tmp_path / "out.jsonl") for a in PIPELINE_VERBS[verb]]
+    modules = verb_modules("pipeline", verb, *args)
+    unwanted = {"indicscore.matchers", "indicscore.distance", "indicscore.scorecard"}
+    if verb != "rewrite-digits":
+        unwanted.add("indicscore.numbers")
+    if HAS_BUILTIN_SHA256:
+        unwanted.add("_hashlib")
+    assert modules & unwanted == set()
+
+
+def test_score_loads_the_scorer(tmp_path):
+    row = {"id": "u1", "text": "పిన్ కోడ్ 500081 పంపండి", "language": "te",
+           "entity_class": "digits", "entity_tokens": ["500081"]}
+    holdout = write_jsonl(tmp_path / "holdout.jsonl", [row])
+    preds = write_jsonl(tmp_path / "preds.jsonl", [{"id": "u1", "hypothesis": row["text"]}])
+    modules = verb_modules("score", "--holdout", str(holdout), "--predictions", str(preds), "--lang", "te")
+    assert {m for m in modules if m.startswith("indicscore")} == {
+        "indicscore", *(f"indicscore.{name}" for name in (
+            "cli", "corpus", "distance", "errors", "matchers", "numbers", "scorecard", "script", "textnorm",
+        ))
+    }
+
+
+def test_routing_hash_falls_back_to_hashlib():
+    code = (
+        "import sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "import hashlib\n"
+        "from indicscore import pipeline\n"
+        "assert pipeline._sha256 is hashlib.sha256\n"
+        "print(repr(pipeline._unit_interval_hash(5, 'r0')))\n"
+    )
+    from indicscore.pipeline import _unit_interval_hash
+
+    assert run_python(code).stdout.strip() == repr(_unit_interval_hash(5, "r0"))
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):

@@ -1,11 +1,16 @@
 import collections
+import hashlib
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import make_manifest_row
 from indicscore.corpus import with_status
 from indicscore.errors import ConfigurationError, DataError
 from indicscore.pipeline import (
+    _sha256,
+    _unit_interval_hash,
     DEFAULT_WEIGHTS,
     HELDOUT_SYSTEM,
     OverrideRule,
@@ -89,6 +94,14 @@ def test_routing_is_deterministic_per_id_and_seed():
     assert route_utterance(row, RouterPolicy(seed=9)) == route_utterance(row, RouterPolicy(seed=9))
     picks = {route_utterance(row, RouterPolicy(seed=s)) for s in range(40)}
     assert len(picks) > 1  # the seed actually matters
+
+
+@given(seed=st.integers(), row_id=st.text(st.characters(blacklist_categories=("Cs",))))
+def test_routing_hash_is_hashlib_sha256(seed, row_id):
+    data = f"{seed}:{row_id}".encode("utf-8")
+    digest = hashlib.sha256(data).digest()
+    assert _sha256(data).digest() == digest
+    assert _unit_interval_hash(seed, row_id) == int.from_bytes(digest[:8], "big") / 2**64
 
 
 def test_routing_depends_on_id_not_position():
