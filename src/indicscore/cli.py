@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import io
 import json
 import logging
@@ -384,7 +383,7 @@ def cmd_pipeline_balance(args: argparse.Namespace) -> int:
 
 def cmd_pipeline_validate(args: argparse.Namespace) -> int:
     config = corpus.ValidationConfig(purity_threshold=args.purity_threshold)
-    records = []
+    found: list[tuple[str, str, str]] = []  # (id, kind, detail); a dict each only while printing
     clean = total = 0
     with _reading(args.manifest) as rows:
         for row in rows:
@@ -393,16 +392,17 @@ def cmd_pipeline_validate(args: argparse.Namespace) -> int:
             if not violations:
                 clean += 1
                 continue
-            for violation in violations:
-                records.append({"id": row.id, "kind": violation.kind, "detail": violation.detail})
+            found.extend((row.id, violation.kind, violation.detail) for violation in violations)
+    if args.format == "table":
+        for row_id, kind, detail in found:
+            print(f"{row_id}: {kind}: {detail}")
+        print(f"{clean} of {total} rows clean, {len(found)} violations")
+        return EXIT_OK
+    records = [{"id": row_id, "kind": kind, "detail": detail} for row_id, kind, detail in found]
     if args.format == "records":
         _print_records(records)
-    elif args.format == "csv":
-        _print_csv(records)
     else:
-        for record in records:
-            print(f"{record['id']}: {record['kind']}: {record['detail']}")
-        print(f"{clean} of {total} rows clean, {len(records)} violations")
+        _print_csv(records)
     return EXIT_OK
 
 
@@ -419,7 +419,7 @@ def cmd_pipeline_rewrite_digits(args: argparse.Namespace) -> int:
                 raise DataError(f"row {row.id!r}: {exc}") from exc
             if new_text != row.text:
                 changed += 1
-            out.write(dataclasses.replace(row, text=new_text))
+            out.write(corpus._evolve(row, text=new_text))
     print(f"rewrote digit runs in {changed} of {out.count} rows ({args.mode})")
     return EXIT_OK
 

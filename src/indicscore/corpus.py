@@ -15,7 +15,7 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -107,7 +107,25 @@ def with_status(row: ManifestRow, status: str) -> ManifestRow:
         raise DataError(f"unknown manifest status {status!r}")
     if status != row.status and _STATUS_RANK[status] <= _STATUS_RANK[row.status]:
         raise DataError(f"row {row.id!r}: cannot move status {row.status!r} -> {status!r}")
-    return replace(row, status=status)
+    return _evolve(row, status=status)
+
+
+def _built(cls: type, fields: dict):
+    """An instance of the dataclass ``cls`` whose ``__dict__`` is ``fields``,
+    already checked: the frozen ``__init__`` that sets each field through
+    ``object.__setattr__`` is skipped. Equality, hashing, repr and the frozen
+    ``__setattr__`` read fields as attributes, as on a constructed instance."""
+    instance = object.__new__(cls)
+    object.__setattr__(instance, "__dict__", fields)
+    return instance
+
+
+def _evolve(row: ManifestRow, **changes: object) -> ManifestRow:
+    """``dataclasses.replace(row, **changes)`` for field names that exist;
+    ManifestRow has no ``__post_init__`` for it to re-run."""
+    fields = row.__dict__.copy()
+    fields.update(changes)
+    return _built(row.__class__, fields)
 
 
 # ---------------------------------------------------------------------------
@@ -124,20 +142,30 @@ def _iter_jsonl(path: Path, problems: list[str]) -> Iterable[tuple[int, dict]]:
             except UnicodeDecodeError:
                 problems.append(f"line {lineno}: not valid UTF-8")
                 continue
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                problems.append(f"line {lineno}: invalid JSON ({exc.msg})")
-                continue
-            if not isinstance(record, dict):
-                problems.append(f"line {lineno}: expected a JSON object")
-                continue
+            try:  # a line that is one object and its newline, as manifest_line writes
+                record, end = _scan_once(line, 0) if line.endswith("}\n") else (None, -1)
+            except (json.JSONDecodeError, StopIteration):
+                end = -1
+            if end != len(line) - 1:  # any other line goes through json.loads
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    problems.append(f"line {lineno}: invalid JSON ({exc.msg})")
+                    continue
+                if not isinstance(record, dict):
+                    problems.append(f"line {lineno}: expected a JSON object")
+                    continue
             if _SURROGATE_ESCAPE.search(raw) and _has_lone_surrogate(record):
                 problems.append(f"line {lineno}: a string holds an unpaired surrogate escape")
                 continue
             yield lineno, record
+
+
+# The scanner json.loads runs, with its settings. A scan that ends before the
+# newline of a line ending "}\n" read an object, which json.loads would return.
+_scan_once = json.JSONDecoder().scan_once
 
 
 # \ud800-\udfff, in either case. Escaped Indic text (\u0c..) never matches;
@@ -185,6 +213,9 @@ def _parse_entity_tokens(
                     f" classes for entity tokens (got bare string {item!r})"
                 )
                 continue
+            if not item:
+                problems.append(f"line {lineno}: entity token needs a non-empty 'surface'")
+                continue
             surface, cls, lang = item, matcher_class, language
         elif isinstance(item, dict):
             surface = item.get("surface")
@@ -204,7 +235,8 @@ def _parse_entity_tokens(
         if cls not in MATCHER_CLASSES:
             problems.append(f"line {lineno}: unknown matcher class {cls!r} for {surface!r}")
             continue
-        tokens.append(EntityToken(surface=surface, matcher_class=cls, language=lang))
+        # the checks of EntityToken.__post_init__ have passed above
+        tokens.append(_built(EntityToken, {"surface": surface, "matcher_class": cls, "language": lang}))
     return tuple(tokens)
 
 
@@ -293,11 +325,12 @@ def read_manifest(path: str | Path) -> Iterator[ManifestRow]:
     problems: list[str] = []
     seen: dict[str, int] = {}
     for lineno, record in _iter_jsonl(path, problems):
-        row_id = _required_str(record, "id", lineno, problems)
-        text = _required_str(record, "text", lineno, problems)
-        language = _required_str(record, "language", lineno, problems)
-        corpus_class = _required_str(record, "corpus_class", lineno, problems)
-        if None in (row_id, text, language, corpus_class):
+        get = record.get
+        row_id, text, language, corpus_class = get("id"), get("text"), get("language"), get("corpus_class")
+        if not (row_id and text and language and corpus_class and isinstance(row_id, str)
+                and isinstance(text, str) and isinstance(language, str) and isinstance(corpus_class, str)):
+            for key in ("id", "text", "language", "corpus_class"):  # a message for each that fails
+                _required_str(record, key, lineno, problems)
             continue
         if row_id in seen:
             problems.append(f"line {lineno}: duplicate id {row_id!r} (first seen on line {seen[row_id]})")
@@ -306,40 +339,34 @@ def read_manifest(path: str | Path) -> Iterator[ManifestRow]:
         if corpus_class not in CORPUS_CLASSES:
             problems.append(f"line {lineno}: unknown corpus_class {corpus_class!r}")
             continue
-        synth_system = record.get("synth_system")
+        synth_system = get("synth_system")
         if synth_system is not None and synth_system not in SYNTH_SYSTEMS:
             problems.append(f"line {lineno}: unknown synth_system {synth_system!r}")
             continue
-        cer_value = record.get("cer_against_source")
+        cer_value = get("cer_against_source")
         if cer_value is not None:
-            if isinstance(cer_value, bool) or not isinstance(cer_value, (int, float)):
-                problems.append(f"line {lineno}: cer_against_source must be a number")
-                continue
-            try:
-                cer_value = float(cer_value)
-            except OverflowError:  # an integer beyond the float range
-                cer_value = math.inf
+            if type(cer_value) is not float:
+                if isinstance(cer_value, bool) or not isinstance(cer_value, int):
+                    problems.append(f"line {lineno}: cer_against_source must be a number")
+                    continue
+                try:
+                    cer_value = float(cer_value)
+                except OverflowError:  # an integer beyond the float range
+                    cer_value = math.inf
             # NaN would pass the CER gate, since every comparison with it is false
             if not 0.0 <= cer_value < math.inf:
                 problems.append(f"line {lineno}: cer_against_source must be finite and not negative")
                 continue
-        status = record.get("status", "pending")
+        status = get("status", "pending")
         if status not in MANIFEST_STATUSES:
             problems.append(f"line {lineno}: unknown status {status!r}")
             continue
-        tokens = _parse_entity_tokens(
-            record.get("entity_tokens"), corpus_class, language, lineno, problems
-        )
-        yield ManifestRow(
-            id=row_id,
-            text=text,
-            language=language,
-            corpus_class=corpus_class,
-            synth_system=synth_system,
-            cer_against_source=cer_value,
-            status=status,
-            entity_tokens=tokens,
-        )
+        tokens = _parse_entity_tokens(get("entity_tokens"), corpus_class, language, lineno, problems)
+        yield _built(ManifestRow, {
+            "id": row_id, "text": text, "language": language, "corpus_class": corpus_class,
+            "synth_system": synth_system, "cer_against_source": cer_value, "status": status,
+            "entity_tokens": tokens,
+        })
     if problems:
         raise DataError(f"malformed manifest file {path}", problems)
 
@@ -350,16 +377,8 @@ def load_manifest(path: str | Path) -> list[ManifestRow]:
 
 
 _encode_str = json.encoder.encode_basestring  # what json.dumps(..., ensure_ascii=False) uses
-
-
-def _encode_value(value: object) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, str):
-        return _encode_str(value)
-    if isinstance(value, float) and math.isfinite(value):
-        return float.__repr__(value)
-    return json.dumps(value, ensure_ascii=False, sort_keys=True)
+_encode_other = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode  # and json.dumps itself
+_isfinite = math.isfinite
 
 
 def manifest_line(row: ManifestRow) -> str:
@@ -373,15 +392,18 @@ def manifest_line(row: ManifestRow) -> str:
     """
     enc = _encode_str
     line = "{"
-    if row.cer_against_source is not None:
-        line += f'"cer_against_source": {_encode_value(row.cer_against_source)}, '
+    cer = row.cer_against_source
+    if cer is not None:
+        # a finite float, as the loader gives, is spelled as json.dumps spells it
+        value = float.__repr__(cer) if type(cer) is float and _isfinite(cer) else _encode_other(cer)
+        line += f'"cer_against_source": {value}, '
     line += f'"corpus_class": {enc(row.corpus_class)}, '
     if row.entity_tokens:
-        tokens = ", ".join(
-            f'{{"language": {_encode_value(t.language)}, "matcher_class": {enc(t.matcher_class)},'
-            f' "surface": {enc(t.surface)}}}'
+        tokens = ", ".join([
+            f'{{"language": {enc(t.language) if type(t.language) is str else _encode_other(t.language)},'
+            f' "matcher_class": {enc(t.matcher_class)}, "surface": {enc(t.surface)}}}'
             for t in row.entity_tokens
-        )
+        ])
         line += f'"entity_tokens": [{tokens}], '
     line += f'"id": {enc(row.id)}, "language": {enc(row.language)}, "status": {enc(row.status)}, '
     if row.synth_system is not None:

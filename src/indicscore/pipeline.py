@@ -13,10 +13,10 @@ from __future__ import annotations
 import logging
 import random
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .corpus import ManifestRow, SYNTH_SYSTEMS, with_status
+from .corpus import ManifestRow, SYNTH_SYSTEMS, _evolve, with_status
 from .errors import ConfigurationError, DataError
 
 # CPython's own SHA-256, as random.py takes its SHA-512: importing hashlib
@@ -123,7 +123,7 @@ def route_utterance(row: ManifestRow, policy: RouterPolicy = RouterPolicy()) -> 
 
 def route_row(row: ManifestRow, policy: RouterPolicy = RouterPolicy()) -> ManifestRow:
     """The row with its ``synth_system`` assigned."""
-    return replace(row, synth_system=route_utterance(row, policy))
+    return _evolve(row, synth_system=route_utterance(row, policy))
 
 
 def route_rows(rows: Iterable[ManifestRow], policy: RouterPolicy = RouterPolicy()) -> list[ManifestRow]:

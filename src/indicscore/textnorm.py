@@ -30,13 +30,27 @@ def collapse_whitespace(text: str) -> str:
     return " ".join(text.split())
 
 
+class _EdgeChars(dict):
+    # character -> is it punctuation or a symbol (P*, S*); filled on first lookup
+
+    def __missing__(self, char: str) -> bool:
+        is_edge = self[char] = unicodedata.category(char)[0] in "PS"
+        return is_edge
+
+
+_IS_EDGE = _EdgeChars()
+
+
 def _strip_edges(token: str) -> str:
     # Strip punctuation and symbols (categories P*, S*) from token edges only;
     # interior separators like the commas in "50,000" or "8-2-293/82" survive.
+    is_edge = _IS_EDGE
+    if not token or not (is_edge[token[0]] or is_edge[token[-1]]):
+        return token
     start, end = 0, len(token)
-    while start < end and unicodedata.category(token[start])[0] in "PS":
+    while start < end and is_edge[token[start]]:
         start += 1
-    while end > start and unicodedata.category(token[end - 1])[0] in "PS":
+    while end > start and is_edge[token[end - 1]]:
         end -= 1
     return token[start:end]
 

@@ -455,6 +455,40 @@ def test_pipeline_validate(tmp_path, jsonl_writer, capsys):
     assert "1 of 3 rows clean" in out
 
 
+def test_pipeline_validate_prints_each_format_in_full(jsonl_writer, capsys):
+    rows = [
+        {"id": "ok", "text": "ఇది మంచి తెలుగు వాక్యం సరే", "language": "te", "corpus_class": "digits"},
+        {"id": "short", "text": "ఒకటి", "language": "te", "corpus_class": "digits"},
+        {
+            "id": "latin", "text": "this is english text only okay", "language": "te",
+            "corpus_class": "digits", "entity_tokens": ["99"],
+        },
+    ]
+    manifest = jsonl_writer("v.jsonl", rows)
+    expected = {
+        "table": (
+            "short: length: 1 tokens outside [3, 25]\n"
+            "latin: entity_span: entity surface '99' not found in text\n"
+            "latin: script_purity: off-script content exceeds 20%\n"
+            "1 of 3 rows clean, 3 violations\n"
+        ),
+        "records": (
+            '{"detail": "1 tokens outside [3, 25]", "id": "short", "kind": "length"}\n'
+            '{"detail": "entity surface \'99\' not found in text", "id": "latin", "kind": "entity_span"}\n'
+            '{"detail": "off-script content exceeds 20%", "id": "latin", "kind": "script_purity"}\n'
+        ),
+        "csv": (
+            "id,kind,detail\n"
+            'short,length,"1 tokens outside [3, 25]"\n'
+            "latin,entity_span,entity surface '99' not found in text\n"
+            "latin,script_purity,off-script content exceeds 20%\n"
+        ),
+    }
+    for fmt, text in expected.items():
+        assert run("pipeline", "validate", "--manifest", manifest, "--format", fmt) == 0
+        assert capsys.readouterr().out == text
+
+
 def test_pipeline_rewrite_digits(tmp_path, jsonl_writer, capsys):
     rows = [
         {"id": "r1", "text": "ఖాతాలో 500000 జమ", "language": "te", "corpus_class": "currency"},

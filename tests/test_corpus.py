@@ -86,6 +86,18 @@ def test_bare_string_tokens_need_inferable_class(jsonl_writer):
     assert "explicit matcher" in str(exc.value)
 
 
+@pytest.mark.parametrize("loader", [load_holdout, load_manifest])
+def test_empty_bare_string_token_is_a_data_error_naming_the_line(jsonl_writer, loader):
+    fields = {"text": "x", "language": "te", "corpus_class": "digits", "entity_class": "digits"}
+    path = jsonl_writer(
+        "m.jsonl",
+        [{"id": "u1", **fields, "entity_tokens": ["500081"]}, {"id": "u2", **fields, "entity_tokens": [""]}],
+    )
+    with pytest.raises(DataError) as exc:
+        loader(path)
+    assert exc.value.details == ["line 2: entity token needs a non-empty 'surface'"]
+
+
 def test_object_tokens_accept_both_class_keys(jsonl_writer):
     path = jsonl_writer(
         "h.jsonl",
