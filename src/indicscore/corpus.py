@@ -21,7 +21,7 @@ from typing import Iterable, Iterator
 
 from .errors import ConfigurationError, DataError
 from .script import script_block, script_purity_check
-from .textnorm import nfkc_normalize, tokenize
+from .textnorm import nfkc_normalize, token_count
 
 # The entity classes a token may name, each scored by its own matcher in
 # `matchers`. The class vocabulary lives here, with the token, so that the
@@ -132,11 +132,18 @@ def _evolve(row: ManifestRow, **changes: object) -> ManifestRow:
 # JSONL plumbing
 # ---------------------------------------------------------------------------
 
-def _iter_jsonl(path: Path, problems: list[str]) -> Iterable[tuple[int, dict]]:
+def _iter_jsonl(
+    path: Path, problems: list[str], start: int = 0, stop: int | None = None
+) -> Iterable[tuple[int, dict]]:
     # Lines end at b"\n" only: str.splitlines() would also break at the
-    # U+2028 and U+0085 that manifest_line leaves unescaped.
+    # U+2028 and U+0085 that manifest_line leaves unescaped. A byte range
+    # [start, stop) begins a line and ends one; its line numbers count from
+    # its start.
     with open(path, "rb") as handle:
-        for lineno, raw in enumerate(handle, 1):
+        if start:
+            handle.seek(start)
+        lines = handle if stop is None else _lines_within(handle, stop - start)
+        for lineno, raw in enumerate(lines, 1):
             try:
                 line = raw.decode("utf-8")
             except UnicodeDecodeError:
@@ -161,6 +168,14 @@ def _iter_jsonl(path: Path, problems: list[str]) -> Iterable[tuple[int, dict]]:
                 problems.append(f"line {lineno}: a string holds an unpaired surrogate escape")
                 continue
             yield lineno, record
+
+
+def _lines_within(handle, size: int) -> Iterator[bytes]:
+    for raw in handle:
+        yield raw
+        size -= len(raw)
+        if size <= 0:
+            return
 
 
 # The scanner json.loads runs, with its settings. A scan that ends before the
@@ -321,10 +336,16 @@ def read_manifest(path: str | Path) -> Iterator[ManifestRow]:
     DataError, after the last line, so a consumer must finish the
     iteration before acting on what it was given.
     """
-    path = Path(path)
+    return _read_manifest(Path(path), {})
+
+
+def _read_manifest(
+    path: Path, seen: dict[str, int], start: int = 0, stop: int | None = None
+) -> Iterator[ManifestRow]:
+    # read_manifest over the byte range [start, stop) of the file, which
+    # begins a line and ends one; the ids read are left as keys of ``seen``.
     problems: list[str] = []
-    seen: dict[str, int] = {}
-    for lineno, record in _iter_jsonl(path, problems):
+    for lineno, record in _iter_jsonl(path, problems, start, stop):
         get = record.get
         row_id, text, language, corpus_class = get("id"), get("text"), get("language"), get("corpus_class")
         if not (row_id and text and language and corpus_class and isinstance(row_id, str)
@@ -417,13 +438,17 @@ class ManifestWriter:
 
     Use it through ``manifest_writers``. An existing path that is not a
     regular file (``/dev/null``, a pipe) cannot be replaced and is written
-    in place. ``count`` is the number of rows written.
+    in place, as is a file descriptor, which is left open. ``count`` is the
+    number of rows written.
     """
 
-    def __init__(self, path: str | Path):
-        path = os.fspath(path)
+    def __init__(self, path: str | Path | int):
         self.count = 0
         self._temp: str | None = None
+        if isinstance(path, int):
+            self._handle = open(path, "w", encoding="utf-8", closefd=False)
+            return
+        path = os.fspath(path)
         if os.path.exists(path) and not os.path.isfile(path):
             # a directory fails here, before any output is written
             self._handle = open(path, "w", encoding="utf-8")
@@ -448,6 +473,16 @@ class ManifestWriter:
         self._handle.write(manifest_line(row))
         self.count += 1
 
+    def copy_from(self, fd: int, count: int) -> None:
+        """Append the ``count`` rows that a writer on the file descriptor
+        ``fd`` wrote there, from the start of that file."""
+        self._handle.flush()
+        out = self._handle.buffer
+        os.lseek(fd, 0, os.SEEK_SET)
+        while chunk := os.read(fd, 1 << 16):
+            out.write(chunk)
+        self.count += count
+
     def commit(self) -> None:
         """Close the output and rename the temp file over the path."""
         self._handle.close()
@@ -466,7 +501,7 @@ class ManifestWriter:
 
 
 @contextlib.contextmanager
-def manifest_writers(*paths: str | Path | None) -> Iterator[list[ManifestWriter | None]]:
+def manifest_writers(*paths: str | Path | int | None) -> Iterator[list[ManifestWriter | None]]:
     """Yield a ManifestWriter per path (None for a path that is None).
 
     The outputs are renamed into place, in argument order, only when the
@@ -541,10 +576,10 @@ def validate_corpus_row(
     violations: list[Violation] = []
     text = nfkc_normalize(row.text)
 
-    token_count = len(tokenize(text))
-    if not MIN_TOKENS <= token_count <= MAX_TOKENS:
+    tokens = token_count(text)
+    if not MIN_TOKENS <= tokens <= MAX_TOKENS:
         violations.append(
-            Violation("length", f"{token_count} tokens outside [{MIN_TOKENS}, {MAX_TOKENS}]")
+            Violation("length", f"{tokens} tokens outside [{MIN_TOKENS}, {MAX_TOKENS}]")
         )
 
     spans: list[tuple[int, int]] = []

@@ -10,7 +10,6 @@ from the bucket name).
 
 from __future__ import annotations
 
-import logging
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -29,8 +28,6 @@ except ImportError:
         from _sha256 import sha256 as _sha256  # Python 3.10 and 3.11
     except ImportError:  # a build without the built-in module
         from hashlib import sha256 as _sha256
-
-logger = logging.getLogger(__name__)
 
 HELDOUT_SYSTEM = "cartesia"
 
@@ -72,7 +69,12 @@ DEFAULT_OVERRIDES: tuple[OverrideRule, ...] = (
 
 @dataclass(frozen=True)
 class RouterPolicy:
-    """Backend weights plus ordered overrides and the draw seed."""
+    """Backend weights plus ordered overrides and the draw seed.
+
+    The weights are read once, here, into the draw table ``_buckets``:
+    each backend with the running sum of the weights up to it, in name
+    order.
+    """
 
     weights: Mapping[str, float] = field(default_factory=lambda: dict(DEFAULT_WEIGHTS))
     overrides: tuple[OverrideRule, ...] = DEFAULT_OVERRIDES
@@ -93,6 +95,11 @@ class RouterPolicy:
                 raise ConfigurationError(f"unknown backend {rule.backend!r} in override rule")
             if rule.bucket is not None and rule.bucket not in self.weights:
                 raise ConfigurationError(f"override relabels unknown bucket {rule.bucket!r}")
+        buckets, cumulative = [], 0.0
+        for name, weight in sorted(self.weights.items()):
+            cumulative += weight
+            buckets.append((cumulative, name))
+        object.__setattr__(self, "_buckets", tuple(buckets))
 
 
 def _unit_interval_hash(seed: int, row_id: str) -> float:
@@ -106,15 +113,10 @@ def route_utterance(row: ManifestRow, policy: RouterPolicy = RouterPolicy()) -> 
         if rule.bucket is None and rule.matches(row):
             return rule.backend
     draw = _unit_interval_hash(policy.seed, row.id)
-    bucket = None
-    cumulative = 0.0
-    for name, weight in sorted(policy.weights.items()):
-        cumulative += weight
+    for cumulative, bucket in policy._buckets:
         if draw < cumulative:
-            bucket = name
             break
-    if bucket is None:  # guard against top-end float rounding
-        bucket = sorted(policy.weights)[-1]
+    # with no break, the last bucket takes the draw: top-end float rounding
     for rule in policy.overrides:
         if rule.bucket == bucket and rule.matches(row):
             return rule.backend
@@ -220,10 +222,14 @@ def split_rows(rows: Iterable[ManifestRow]) -> Iterator[tuple[bool, ManifestRow]
         )
     if unrouted:
         raise DataError("split requires routed rows", [f"id {row_id!r}" for row_id in unrouted])
-    if not sizes[True]:
-        logger.warning("held-out split is empty: no rows from %s", HELDOUT_SYSTEM)
-    if not sizes[False]:
-        logger.warning("training split is empty")
+    if not (sizes[True] and sizes[False]):
+        import logging  # only a split with an empty side logs
+
+        logger = logging.getLogger(__name__)
+        if not sizes[True]:
+            logger.warning("held-out split is empty: no rows from %s", HELDOUT_SYSTEM)
+        if not sizes[False]:
+            logger.warning("training split is empty")
 
 
 def split_heldout(rows: Iterable[ManifestRow]) -> SplitResult:
@@ -280,11 +286,23 @@ def balanced_ids(rows: Iterable[ManifestRow], per_class_target: int, seed: int =
     Selection is independent of input order: each class's ids are sorted
     before sampling.
     """
-    if per_class_target < 0:
-        raise ConfigurationError("per_class_target must be non-negative")
+    return sample_class_ids(ids_by_class(rows), per_class_target, seed)
+
+
+def ids_by_class(rows: Iterable[ManifestRow]) -> dict[str, list[str]]:
+    """The row ids of each corpus class, in input order."""
     by_class: dict[str, list[str]] = {}
     for row in rows:
         by_class.setdefault(row.corpus_class, []).append(row.id)
+    return by_class
+
+
+def sample_class_ids(
+    by_class: Mapping[str, Sequence[str]], per_class_target: int, seed: int = 0
+) -> set[str]:
+    """``balanced_ids`` of rows whose ids per class are ``by_class``, in any order."""
+    if per_class_target < 0:
+        raise ConfigurationError("per_class_target must be non-negative")
     selected: set[str] = set()
     for corpus_class in sorted(by_class):
         candidates = sorted(by_class[corpus_class])

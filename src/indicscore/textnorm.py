@@ -68,6 +68,17 @@ def tokenize(text: str) -> list[str]:
     return tokens
 
 
+def token_count(text: str) -> int:
+    """``len(tokenize(text))`` for ``text`` that is already NFKC.
+
+    A piece of only punctuation and symbols is no token; only a piece that
+    starts with one is checked.
+    """
+    is_edge = _IS_EDGE
+    pieces = text.split()
+    return len(pieces) - sum(1 for piece in pieces if is_edge[piece[0]] and not _strip_edges(piece))
+
+
 # The modes the CLI offers as choices. They live in this module, which every
 # verb loads, so that building the parser imports neither matchers nor numbers.
 NORM_MODES = ("default", "strict")

@@ -2,10 +2,14 @@ import argparse
 import json
 import os
 import stat
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
+from indicscore import cli as cli_module
 from indicscore.cli import build_parser, main
 from indicscore.matchers import CURRENCY_MODES
 from indicscore.numbers import REWRITE_MODES
@@ -425,6 +429,26 @@ def test_pipeline_filter_and_split(tmp_path, jsonl_writer, capsys):
     trained = [json.loads(l) for l in train.read_text(encoding="utf-8").splitlines()]
     assert {r["id"] for r in trained} | {r["id"] for r in held} == {r["id"] for r in acc}
     capsys.readouterr()
+
+
+def test_pipeline_split_warns_on_stderr_of_an_empty_heldout_side(tmp_path, jsonl_writer):
+    rows = [
+        {"id": f"s{i}", "text": "వాక్యం ఇక్కడ ఉంది", "language": "te", "corpus_class": "digits",
+         "synth_system": "praxy", "status": "accepted"}
+        for i in range(3)
+    ]
+    manifest = jsonl_writer("accepted.jsonl", rows)
+    # a fresh interpreter: in this one the test runner's log handlers take the warning
+    src = str(Path(cli_module.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-m", "indicscore.cli", "pipeline", "split", "--manifest", manifest,
+         "--out-train", str(tmp_path / "train.jsonl"), "--out-heldout", str(tmp_path / "heldout.jsonl")],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)),
+    )
+    assert result.returncode == 0
+    assert result.stderr == "WARNING indicscore.pipeline: held-out split is empty: no rows from cartesia\n"
+    assert result.stdout.startswith("train 3  heldout 0\n")
 
 
 def test_pipeline_balance(tmp_path, manifest_path, capsys):

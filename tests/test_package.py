@@ -48,12 +48,18 @@ def test_import_loads_no_submodule_until_a_name_is_read():
         indicscore.no_such_name
 
 
-# A verb's modules are listed after it exits, on the last line of stderr.
+# A verb's modules are listed after it exits, on the last line of stderr,
+# with the number of times it forked. A first argument "parts" lets the verb
+# use two CPUs, so that a manifest of two parts or more is run in parts.
 VERB_BOOT = (
-    "import json, sys\n"
-    "from indicscore.cli import main\n"
-    "code = main(sys.argv[1:])\n"
-    "print(json.dumps([code, sorted(sys.modules)]), file=sys.stderr)\n"
+    "import json, os, sys\n"
+    "from indicscore import cli\n"
+    "forks, fork = [], os.fork\n"
+    "os.fork = lambda: forks.append(1) or fork()\n"
+    "if sys.argv[1] == 'parts':\n"
+    "    cli._usable_cpus = lambda: 2\n"
+    "code = cli.main(sys.argv[2:])\n"
+    "print(json.dumps([code, sorted(sys.modules), len(forks)]), file=sys.stderr)\n"
 )
 
 HAS_BUILTIN_SHA256 = any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256"))
@@ -68,29 +74,52 @@ PIPELINE_VERBS = {
 }
 
 
-def verb_modules(*argv):
-    code, modules = json.loads(run_python(VERB_BOOT, *argv).stderr.splitlines()[-1])
+def verb_modules(*argv, parts=False):
+    result = run_python(VERB_BOOT, "parts" if parts else "one", *argv)
+    code, modules, forks = json.loads(result.stderr.splitlines()[-1])
     assert code == 0
+    assert bool(forks) == parts
     return set(modules)
+
+
+def write_manifest(path, rows):
+    text = "పిన్ కోడ్ 500081 పంపండి సరే"
+    return write_jsonl(path, [
+        {"id": f"r{i}", "text": text, "language": "te", "corpus_class": "digits",
+         "entity_tokens": ["500081"], "synth_system": ["praxy", "cartesia", "elevenlabs"][i % 3],
+         "cer_against_source": 0.1, "status": "accepted"}
+        for i in range(rows)
+    ])
+
+
+def pipeline_verb_modules(verb, manifest, out, parts=False):
+    args = [a.format(m=manifest, o=out) for a in PIPELINE_VERBS[verb]]
+    return verb_modules("pipeline", verb, *args, parts=parts)
 
 
 @pytest.mark.parametrize("verb", sorted(PIPELINE_VERBS))
 def test_pipeline_verb_loads_neither_scorer_nor_openssl(tmp_path, verb):
-    text = "పిన్ కోడ్ 500081 పంపండి సరే"
-    manifest = write_jsonl(tmp_path / "manifest.jsonl", [
-        {"id": f"r{i}", "text": text, "language": "te", "corpus_class": "digits",
-         "entity_tokens": ["500081"], "synth_system": system, "cer_against_source": 0.1,
-         "status": "accepted"}
-        for i, system in enumerate(["praxy", "cartesia", "elevenlabs"])
-    ])
-    args = [a.format(m=manifest, o=tmp_path / "out.jsonl") for a in PIPELINE_VERBS[verb]]
-    modules = verb_modules("pipeline", verb, *args)
+    manifest = write_manifest(tmp_path / "manifest.jsonl", 3)
+    modules = pipeline_verb_modules(verb, manifest, tmp_path / "out.jsonl")
     unwanted = {"indicscore.matchers", "indicscore.distance", "indicscore.scorecard"}
     if verb != "rewrite-digits":
         unwanted.add("indicscore.numbers")
+    if verb != "split":  # the one pipeline verb that can log
+        unwanted.add("logging")
     if HAS_BUILTIN_SHA256:
         unwanted.add("_hashlib")
     assert modules & unwanted == set()
+
+
+@pytest.mark.parametrize("verb", sorted(PIPELINE_VERBS))
+def test_a_verb_run_in_parts_loads_what_it_loads_in_one_process(tmp_path, verb):
+    from indicscore.cli import PART_BYTES
+
+    small = write_manifest(tmp_path / "small.jsonl", 3)
+    large = write_manifest(tmp_path / "large.jsonl", 2 * PART_BYTES // 200 + 1)
+    assert os.path.getsize(large) >= 2 * PART_BYTES
+    one = pipeline_verb_modules(verb, small, tmp_path / "out.jsonl")
+    assert pipeline_verb_modules(verb, large, tmp_path / "out.jsonl", parts=True) == one
 
 
 def test_score_loads_the_scorer(tmp_path):

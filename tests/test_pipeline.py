@@ -1,11 +1,16 @@
 import collections
 import hashlib
 
+import math
+from unittest import mock
+
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conftest import make_manifest_row
+from indicscore import pipeline
+from indicscore.corpus import CORPUS_CLASSES, SYNTH_SYSTEMS
 from indicscore.corpus import with_status
 from indicscore.errors import ConfigurationError, DataError
 from indicscore.pipeline import (
@@ -23,6 +28,27 @@ from indicscore.pipeline import (
     split_heldout,
     synth_distribution,
 )
+
+
+def route_utterance_oracle(row, policy):
+    """route_utterance as it was when it sorted the weights on every row."""
+    for rule in policy.overrides:
+        if rule.bucket is None and rule.matches(row):
+            return rule.backend
+    draw = pipeline._unit_interval_hash(policy.seed, row.id)
+    bucket = None
+    cumulative = 0.0
+    for name, weight in sorted(policy.weights.items()):
+        cumulative += weight
+        if draw < cumulative:
+            bucket = name
+            break
+    if bucket is None:  # guard against top-end float rounding
+        bucket = sorted(policy.weights)[-1]
+    for rule in policy.overrides:
+        if rule.bucket == bucket and rule.matches(row):
+            return rule.backend
+    return bucket
 
 
 def many_rows(n, language="te", corpus_class="digits"):
@@ -123,6 +149,47 @@ def test_route_rows_assigns_and_preserves_order():
 def test_custom_weights_can_drop_backends():
     policy = RouterPolicy(weights={"cartesia": 1.0}, overrides=())
     assert {route_utterance(r, policy) for r in many_rows(50)} == {"cartesia"}
+
+
+@st.composite
+def policies(draw):
+    backends = draw(st.lists(st.sampled_from(SYNTH_SYSTEMS), min_size=1, max_size=5, unique=True))
+    raw = draw(st.lists(st.floats(0, 1), min_size=len(backends), max_size=len(backends)))
+    assume(sum(raw) > 0)
+    # a sum just under 1 leaves the top-end guard a draw to catch
+    shortfall = draw(st.sampled_from([0.0, 5e-10, 9.9e-10]))
+    weights = {b: w / sum(raw) * (1 - shortfall) for b, w in zip(backends, raw)}
+    assume(abs(sum(weights.values()) - 1.0) <= 1e-9)
+    rules = draw(st.lists(st.builds(
+        OverrideRule,
+        backend=st.sampled_from(SYNTH_SYSTEMS),
+        corpus_class=st.none() | st.sampled_from(CORPUS_CLASSES),
+        language=st.none() | st.sampled_from(["te", "ta", "hi"]),
+        bucket=st.none() | st.sampled_from(backends),
+    ), max_size=3))
+    return RouterPolicy(weights=weights, overrides=tuple(rules), seed=draw(st.integers(-10, 10**6)))
+
+
+@given(
+    policy=policies(),
+    row_id=st.text(min_size=1, max_size=12),
+    language=st.sampled_from(["te", "ta", "hi"]),
+    corpus_class=st.sampled_from(CORPUS_CLASSES),
+    draw=st.none() | st.floats(0, 1, exclude_max=True) | st.just(math.nextafter(1.0, 0.0)),
+)
+def test_route_utterance_matches_the_per_row_sort(policy, row_id, language, corpus_class, draw):
+    row = make_manifest_row(0, language=language, corpus_class=corpus_class, id=row_id)
+    # draw None keeps the real hash; a fixed draw reaches the top of the unit interval
+    unit_hash = _unit_interval_hash if draw is None else (lambda seed, row_id: draw)
+    with mock.patch.object(pipeline, "_unit_interval_hash", unit_hash):
+        assert route_utterance(row, policy) == route_utterance_oracle(row, policy)
+
+
+def test_the_top_end_guard_takes_the_last_bucket():
+    policy = RouterPolicy(weights={"cartesia": 0.5, "praxy": 0.5 - 9e-10}, overrides=())
+    row = make_manifest_row(0)
+    with mock.patch.object(pipeline, "_unit_interval_hash", lambda seed, row_id: 1 - 1e-12):
+        assert route_utterance(row, policy) == route_utterance_oracle(row, policy) == "praxy"
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ from indicscore.textnorm import (
     casefold_normalize,
     collapse_whitespace,
     norm_config_from_label,
+    nfkc_normalize,
     normalize_for_scoring,
+    token_count,
     tokenize,
     tokens_for_scoring,
 )
@@ -87,3 +89,21 @@ def test_tokenize_never_returns_empty_tokens(s):
 def test_collapse_whitespace_idempotent(s):
     once = collapse_whitespace(s)
     assert collapse_whitespace(once) == once
+
+
+# Pieces built from edge punctuation and symbols (P*, S*), combining marks,
+# letters, digits and every kind of Unicode space, so that pieces that strip
+# to nothing, to part of themselves, or not at all all occur.
+EDGY_TEXT = st.text(
+    st.one_of(
+        st.characters(categories=("P", "S", "M", "L", "N")),
+        st.characters(categories=("Zs", "Zl", "Zp", "Cc")),
+        st.sampled_from(" \t\n.,!?-/()₹%@#…।॥"),
+    ),
+    max_size=40,
+)
+
+
+@given(st.one_of(EDGY_TEXT, st.text(max_size=80)))
+def test_token_count_is_the_length_of_tokenize(s):
+    assert token_count(nfkc_normalize(s)) == len(tokenize(s))
