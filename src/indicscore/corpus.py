@@ -6,22 +6,28 @@ system), and synthesis-manifest rows tracking each utterance through
 routing, synthesis, and filtering. Loaders attach 1-based line numbers to
 every parse problem and report all of them at once. Unknown JSON fields
 are ignored so files can carry extra annotations.
+
+The manifest half (rows, reader, writer, validation) lives in `manifest`,
+which only the pipeline verbs load. Its public names also read from here
+(PEP 562): the first read loads `manifest`.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
-import math
 import os
 import re
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import ConfigurationError, DataError
-from .script import script_block, script_purity_check
-from .textnorm import nfkc_normalize, token_count
+from .record import Record
+
+# `manifest.validate_corpus_row` runs the purity check through this module,
+# so that wrapping `corpus.script_purity_check` (as perfbench's replay does,
+# to time it) wraps the check it runs.
+from .script import script_purity_check  # noqa: F401
 
 # The entity classes a token may name, each scored by its own matcher in
 # `matchers`. The class vocabulary lives here, with the token, so that the
@@ -45,12 +51,8 @@ SYNTH_SYSTEMS = ("praxy", "chatterbox", "indicf5", "elevenlabs", "cartesia")
 
 MANIFEST_STATUSES = ("pending", "synthesized", "filtered_out", "accepted")
 
-# Forward-only transition ranks; the two terminal states share a rank.
-_STATUS_RANK = {"pending": 0, "synthesized": 1, "filtered_out": 2, "accepted": 2}
 
-
-@dataclass(frozen=True)
-class EntityToken:
+class EntityToken(Record):
     """One reference entity: a surface string plus its matcher class."""
 
     surface: str
@@ -66,8 +68,7 @@ class EntityToken:
             raise ConfigurationError("entity token surface must be non-empty")
 
 
-@dataclass(frozen=True)
-class HoldoutRow:
+class HoldoutRow(Record):
     """One evaluation utterance with its tagged entity tokens."""
 
     id: str
@@ -78,8 +79,7 @@ class HoldoutRow:
     language: str | None = None
 
 
-@dataclass(frozen=True)
-class Prediction:
+class Prediction(Record):
     """One ASR hypothesis for a row id; empty hypotheses are legal."""
 
     id: str
@@ -87,45 +87,15 @@ class Prediction:
     system: str = ""
 
 
-@dataclass(frozen=True)
-class ManifestRow:
-    """One utterance tracked through the synthesis pipeline."""
-
-    id: str
-    text: str
-    language: str
-    corpus_class: str
-    synth_system: str | None = None
-    cer_against_source: float | None = None
-    status: str = "pending"
-    entity_tokens: tuple[EntityToken, ...] = ()
-
-
-def with_status(row: ManifestRow, status: str) -> ManifestRow:
-    """Return the row moved to ``status``; transitions only move forward."""
-    if status not in MANIFEST_STATUSES:
-        raise DataError(f"unknown manifest status {status!r}")
-    if status != row.status and _STATUS_RANK[status] <= _STATUS_RANK[row.status]:
-        raise DataError(f"row {row.id!r}: cannot move status {row.status!r} -> {status!r}")
-    return _evolve(row, status=status)
-
-
 def _built(cls: type, fields: dict):
-    """An instance of the dataclass ``cls`` whose ``__dict__`` is ``fields``,
-    already checked: the frozen ``__init__`` that sets each field through
-    ``object.__setattr__`` is skipped. Equality, hashing, repr and the frozen
-    ``__setattr__`` read fields as attributes, as on a constructed instance."""
+    """An instance of the frozen record ``cls`` (a `Record` or a frozen
+    dataclass) whose ``__dict__`` is ``fields``, already checked: ``__init__``
+    and its ``__post_init__`` checks are skipped. Equality, hashing, repr and
+    the frozen ``__setattr__`` read fields as attributes, as on a constructed
+    instance."""
     instance = object.__new__(cls)
     object.__setattr__(instance, "__dict__", fields)
     return instance
-
-
-def _evolve(row: ManifestRow, **changes: object) -> ManifestRow:
-    """``dataclasses.replace(row, **changes)`` for field names that exist;
-    ManifestRow has no ``__post_init__`` for it to re-run."""
-    fields = row.__dict__.copy()
-    fields.update(changes)
-    return _built(row.__class__, fields)
 
 
 # ---------------------------------------------------------------------------
@@ -328,130 +298,31 @@ def load_predictions(path: str | Path) -> list[Prediction]:
     return predictions
 
 
-def read_manifest(path: str | Path) -> Iterator[ManifestRow]:
-    """Yield the synthesis-manifest rows of ``path`` in file order.
-
-    Each row is validated as it is read; the file is opened on the first
-    ``next``. Every problem in the file is raised together, as one
-    DataError, after the last line, so a consumer must finish the
-    iteration before acting on what it was given.
-    """
-    return _read_manifest(Path(path), {})
 
 
-def _read_manifest(
-    path: Path, seen: dict[str, int], start: int = 0, stop: int | None = None
-) -> Iterator[ManifestRow]:
-    # read_manifest over the byte range [start, stop) of the file, which
-    # begins a line and ends one; the ids read are left as keys of ``seen``.
-    problems: list[str] = []
-    for lineno, record in _iter_jsonl(path, problems, start, stop):
-        get = record.get
-        row_id, text, language, corpus_class = get("id"), get("text"), get("language"), get("corpus_class")
-        if not (row_id and text and language and corpus_class and isinstance(row_id, str)
-                and isinstance(text, str) and isinstance(language, str) and isinstance(corpus_class, str)):
-            for key in ("id", "text", "language", "corpus_class"):  # a message for each that fails
-                _required_str(record, key, lineno, problems)
-            continue
-        if row_id in seen:
-            problems.append(f"line {lineno}: duplicate id {row_id!r} (first seen on line {seen[row_id]})")
-            continue
-        seen[row_id] = lineno
-        if corpus_class not in CORPUS_CLASSES:
-            problems.append(f"line {lineno}: unknown corpus_class {corpus_class!r}")
-            continue
-        synth_system = get("synth_system")
-        if synth_system is not None and synth_system not in SYNTH_SYSTEMS:
-            problems.append(f"line {lineno}: unknown synth_system {synth_system!r}")
-            continue
-        cer_value = get("cer_against_source")
-        if cer_value is not None:
-            if type(cer_value) is not float:
-                if isinstance(cer_value, bool) or not isinstance(cer_value, int):
-                    problems.append(f"line {lineno}: cer_against_source must be a number")
-                    continue
-                try:
-                    cer_value = float(cer_value)
-                except OverflowError:  # an integer beyond the float range
-                    cer_value = math.inf
-            # NaN would pass the CER gate, since every comparison with it is false
-            if not 0.0 <= cer_value < math.inf:
-                problems.append(f"line {lineno}: cer_against_source must be finite and not negative")
-                continue
-        status = get("status", "pending")
-        if status not in MANIFEST_STATUSES:
-            problems.append(f"line {lineno}: unknown status {status!r}")
-            continue
-        tokens = _parse_entity_tokens(get("entity_tokens"), corpus_class, language, lineno, problems)
-        yield _built(ManifestRow, {
-            "id": row_id, "text": text, "language": language, "corpus_class": corpus_class,
-            "synth_system": synth_system, "cer_against_source": cer_value, "status": status,
-            "entity_tokens": tokens,
-        })
-    if problems:
-        raise DataError(f"malformed manifest file {path}", problems)
+# ---------------------------------------------------------------------------
+# Outputs replaced all at once
+# ---------------------------------------------------------------------------
 
-
-def load_manifest(path: str | Path) -> list[ManifestRow]:
-    """Load synthesis-manifest rows with full field validation."""
-    return list(read_manifest(path))
-
-
-_encode_str = json.encoder.encode_basestring  # what json.dumps(..., ensure_ascii=False) uses
-_encode_other = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode  # and json.dumps itself
-_isfinite = math.isfinite
-
-
-def manifest_line(row: ManifestRow) -> str:
-    """One manifest row as a JSONL line, newline included.
-
-    The bytes are those of ``json.dumps(record, ensure_ascii=False,
-    sort_keys=True)``, where the record holds the row's fields and leaves
-    out ``synth_system`` and ``cer_against_source`` when they are None and
-    ``entity_tokens`` when it is empty; the keys are written here in that
-    sorted order.
-    """
-    enc = _encode_str
-    line = "{"
-    cer = row.cer_against_source
-    if cer is not None:
-        # a finite float, as the loader gives, is spelled as json.dumps spells it
-        value = float.__repr__(cer) if type(cer) is float and _isfinite(cer) else _encode_other(cer)
-        line += f'"cer_against_source": {value}, '
-    line += f'"corpus_class": {enc(row.corpus_class)}, '
-    if row.entity_tokens:
-        tokens = ", ".join([
-            f'{{"language": {enc(t.language) if type(t.language) is str else _encode_other(t.language)},'
-            f' "matcher_class": {enc(t.matcher_class)}, "surface": {enc(t.surface)}}}'
-            for t in row.entity_tokens
-        ])
-        line += f'"entity_tokens": [{tokens}], '
-    line += f'"id": {enc(row.id)}, "language": {enc(row.language)}, "status": {enc(row.status)}, '
-    if row.synth_system is not None:
-        line += f'"synth_system": {enc(row.synth_system)}, '
-    return line + f'"text": {enc(row.text)}}}\n'
-
-
-class ManifestWriter:
-    """Writes manifest rows to a temp file beside ``path``; ``commit``
+class ReplacingFile:
+    """A text output written to a temp file beside ``path``; ``commit``
     renames it over ``path`` and ``discard`` removes it.
 
-    Use it through ``manifest_writers``. An existing path that is not a
-    regular file (``/dev/null``, a pipe) cannot be replaced and is written
-    in place, as is a file descriptor, which is left open. ``count`` is the
-    number of rows written.
+    Use it through ``replacing``. An existing path that is not a regular
+    file (``/dev/null``, a pipe) cannot be replaced and is written in
+    place, as is a file descriptor, which is left open. ``handle`` is the
+    open text file.
     """
 
     def __init__(self, path: str | Path | int):
-        self.count = 0
         self._temp: str | None = None
         if isinstance(path, int):
-            self._handle = open(path, "w", encoding="utf-8", closefd=False)
+            self.handle = open(path, "w", encoding="utf-8", closefd=False)
             return
         path = os.fspath(path)
         if os.path.exists(path) and not os.path.isfile(path):
             # a directory fails here, before any output is written
-            self._handle = open(path, "w", encoding="utf-8")
+            self.handle = open(path, "w", encoding="utf-8")
             return
         # a symlinked output keeps its link: the file it points to is replaced
         self._target = os.path.realpath(path)
@@ -467,25 +338,11 @@ class ManifestWriter:
             raise OSError(
                 exc.errno, f"{exc.strerror}: cannot create a temp file in {directory} to replace {path}"
             ) from None
-        self._handle = open(fd, "w", encoding="utf-8")
-
-    def write(self, row: ManifestRow) -> None:
-        self._handle.write(manifest_line(row))
-        self.count += 1
-
-    def copy_from(self, fd: int, count: int) -> None:
-        """Append the ``count`` rows that a writer on the file descriptor
-        ``fd`` wrote there, from the start of that file."""
-        self._handle.flush()
-        out = self._handle.buffer
-        os.lseek(fd, 0, os.SEEK_SET)
-        while chunk := os.read(fd, 1 << 16):
-            out.write(chunk)
-        self.count += count
+        self.handle = open(fd, "w", encoding="utf-8")
 
     def commit(self) -> None:
         """Close the output and rename the temp file over the path."""
-        self._handle.close()
+        self.handle.close()
         if self._temp is not None:
             os.replace(self._temp, self._target)
             self._temp = None
@@ -493,7 +350,7 @@ class ManifestWriter:
     def discard(self) -> None:
         """Close the output and remove the temp file, if not yet committed."""
         with contextlib.suppress(OSError):
-            self._handle.close()
+            self.handle.close()
         if self._temp is not None:
             with contextlib.suppress(FileNotFoundError):
                 os.unlink(self._temp)
@@ -501,104 +358,41 @@ class ManifestWriter:
 
 
 @contextlib.contextmanager
-def manifest_writers(*paths: str | Path | int | None) -> Iterator[list[ManifestWriter | None]]:
-    """Yield a ManifestWriter per path (None for a path that is None).
+def replacing(*paths: str | Path | int | None, opener: type = ReplacingFile) -> Iterator[list]:
+    """Yield ``opener(path)`` per path (None for a path that is None).
 
     The outputs are renamed into place, in argument order, only when the
     block completes; otherwise every temp file is removed. So a failed run
-    neither creates nor changes an output, and an output may be the
-    manifest being read.
+    neither creates nor changes an output, and an output may be a file the
+    run reads.
     """
-    writers: list[ManifestWriter | None] = []
+    files: list = []
     try:
         for path in paths:
-            writers.append(None if path is None else ManifestWriter(path))
-        yield writers
-        for writer in writers:
-            if writer is not None:
-                writer.commit()
+            files.append(None if path is None else opener(path))
+        yield files
+        for file in files:
+            if file is not None:
+                file.commit()
     finally:
-        for writer in writers:
-            if writer is not None:
-                writer.discard()
+        for file in files:
+            if file is not None:
+                file.discard()
 
 
-def save_manifest(path: str | Path, rows: Iterable[ManifestRow]) -> None:
-    """Write ``rows`` to ``path``: all or nothing."""
-    with manifest_writers(path) as (out,):
-        for row in rows:
-            out.write(row)
+# The public names of `manifest`, which loads on the first read of one.
+_MANIFEST_NAMES = frozenset({
+    "ManifestRow", "with_status", "read_manifest", "load_manifest", "manifest_line", "ManifestWriter",
+    "manifest_writers", "save_manifest", "Violation", "MIN_TOKENS", "MAX_TOKENS", "ValidationConfig",
+    "validate_corpus_row",
+})
 
 
-# ---------------------------------------------------------------------------
-# Row validation
-# ---------------------------------------------------------------------------
+def __getattr__(name: str):
+    if name not in _MANIFEST_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import manifest
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str  # "length" | "entity_span" | "script_purity"
-    detail: str
-
-
-# A generated utterance holds MIN_TOKENS to MAX_TOKENS tokens, inclusive.
-MIN_TOKENS = 3
-MAX_TOKENS = 25
-
-
-@dataclass(frozen=True)
-class ValidationConfig:
-    purity_threshold: float = 0.8
-
-
-def _merge_spans(spans: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
-    merged: list[tuple[int, int]] = []
-    for start, end in sorted(spans):
-        if merged and start <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], end))
-        else:
-            merged.append((start, end))
-    return merged
-
-
-def validate_corpus_row(
-    row: HoldoutRow | ManifestRow, config: ValidationConfig = ValidationConfig()
-) -> list[Violation]:
-    """Check one generated utterance; violations are data, not errors.
-
-    Checks: token-count bounds, every tagged entity surface occurring in
-    the NFKC text, and script purity with entity spans excluded (a Latin
-    brand inside a Telugu carrier does not count against purity).
-    """
-    if row.language is None:
-        raise DataError(f"row {row.id!r}: no language given for validation")
-    script_block(row.language)  # unknown language is a configuration error
-
-    violations: list[Violation] = []
-    text = nfkc_normalize(row.text)
-
-    tokens = token_count(text)
-    if not MIN_TOKENS <= tokens <= MAX_TOKENS:
-        violations.append(
-            Violation("length", f"{tokens} tokens outside [{MIN_TOKENS}, {MAX_TOKENS}]")
-        )
-
-    spans: list[tuple[int, int]] = []
-    for entity in row.entity_tokens:
-        surface = nfkc_normalize(entity.surface)
-        found = False
-        start = text.find(surface)
-        while start != -1:
-            found = True
-            spans.append((start, start + len(surface)))
-            start = text.find(surface, start + 1)
-        if not found:
-            violations.append(
-                Violation("entity_span", f"entity surface {entity.surface!r} not found in text")
-            )
-
-    if not script_purity_check(text, row.language, _merge_spans(spans), config.purity_threshold):
-        violations.append(
-            Violation("script_purity", f"off-script content exceeds {1 - config.purity_threshold:.0%}")
-        )
-    return violations
-
+    value = getattr(manifest, name)
+    globals()[name] = value  # later reads skip this hook
+    return value

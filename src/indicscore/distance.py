@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DataError
+from .record import Record
 from .textnorm import DEFAULT_NORM, NormConfig, normalize_for_scoring, tokens_for_scoring
 
 
@@ -28,10 +28,22 @@ def levenshtein(a: Sequence, b: Sequence) -> int:
     big-int operations, O(ceil(m/w) * n) word operations in all. Elements
     are compared by hash and equality, so they must be hashable: the
     characters of a ``str`` and the ``str`` tokens of ``wer`` both are.
+
+    A common prefix and suffix cost no edit in some optimal alignment, so
+    they are trimmed first and the loop runs over the differing middle.
     """
     if len(a) < len(b):
         a, b = b, a
     m = len(b)
+    start = 0
+    while start < m and a[start] == b[start]:
+        start += 1
+    end = 0
+    while end < m - start and a[-1 - end] == b[-1 - end]:
+        end += 1
+    if start or end:
+        a, b = a[start:len(a) - end], b[start:m - end]
+        m = len(b)
     if not m:
         return len(a)
     peq = _position_masks(b)
@@ -56,8 +68,7 @@ def levenshtein(a: Sequence, b: Sequence) -> int:
     return score
 
 
-@dataclass(frozen=True)
-class ErrorRate:
+class ErrorRate(Record):
     """Edit distance against a reference of known length; rate may exceed 1."""
 
     distance: int

@@ -33,21 +33,19 @@ thresholds and the window slop are fixed module constants.
 
 from __future__ import annotations
 
-import logging
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .corpus import MATCHER_CLASSES, EntityToken
 from .distance import _position_masks
 from .errors import ConfigurationError, ReferenceDataError, read_utf8
 from .numbers import MultiplierTable, _parse_amount_tokens, _scan_amounts, load_language_table
+from .record import Record
 from .textnorm import CURRENCY_MODES, casefold_normalize, nfkc_normalize, tokenize, tokens_for_scoring
-
-logger = logging.getLogger(__name__)
 
 # Relative tolerance for currency comparison: half a percent, inclusive.
 CURRENCY_TOLERANCE = Fraction(1, 200)
@@ -64,8 +62,7 @@ LCS_THRESHOLD = 0.80
 _FUSED_RUN_RE = re.compile(r"[0-9](?:[ ,]?[0-9])*")
 
 
-@dataclass(frozen=True)
-class MatchResult:
+class MatchResult(Record):
     surface: str
     matcher_class: str
     hit: bool
@@ -232,8 +229,7 @@ def _match_currency(token: EntityToken, hyp: _Hypothesis, config: ScoringConfig)
 def _match_brand(token: EntityToken, hyp: _Hypothesis, config: ScoringConfig) -> MatchResult:
     """Casefolded whole-token alias match ("Paytm" != "paytime")."""
     forms = config.aliases._lookup_forms(token.surface) if config.aliases is not None else None
-    if forms is None:
-        logger.warning("brand %r has no alias entry; matching on its own surface only", token.surface)
+    if forms is None:  # the CLI warns of each such surface once, with its count
         forms = ((casefold_normalize(token.surface), tokens_for_scoring(token.surface)),)
     for alias, alias_tokens in forms:
         if _contains_token_seq(hyp.tokens, alias_tokens):
@@ -311,23 +307,20 @@ if tuple(_MATCHERS) != MATCHER_CLASSES:
 # Utterance-level scoring
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScoringConfig:
+class ScoringConfig(Record):
     """Everything the per-class matchers need at scoring time."""
 
     language: str = "en"
     currency_mode: str = "strict"
     aliases: AliasTable | None = None
-    tables: Mapping[str, MultiplierTable] = field(default_factory=dict)
-    _merged: dict[str, MultiplierTable] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
+    tables: Mapping[str, MultiplierTable] = MappingProxyType({})
 
     def __post_init__(self) -> None:
         if self.currency_mode not in CURRENCY_MODES:
             raise ConfigurationError(
                 f"unknown currency mode {self.currency_mode!r}; expected one of {CURRENCY_MODES}"
             )
+        object.__setattr__(self, "_merged", {})  # a cache, not a field
 
     def table_for(self, language: str | None) -> MultiplierTable:
         """The language's number table, merged with English once and kept."""
@@ -363,8 +356,7 @@ def score_utterance(
 # Aggregation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClassTally:
+class ClassTally(Record):
     n: int
     hits: int
 
@@ -373,8 +365,7 @@ class ClassTally:
         return self.hits / self.n if self.n else None
 
 
-@dataclass(frozen=True)
-class EhrReport:
+class EhrReport(Record):
     """Per-class tallies plus the two corpus-level rates.
 
     ``micro`` pools hits over all tokens, so large classes dominate;

@@ -24,7 +24,6 @@ like "1.5 lakh" carry no floating-point error into tolerance checks.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from importlib import resources
@@ -32,6 +31,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ConfigurationError, DataError, read_utf8
+from .record import Record
 from .textnorm import REWRITE_MODES, casefold_normalize, nfkc_normalize, tokens_for_scoring
 
 _CRORE = 10**7
@@ -55,8 +55,7 @@ _NUMERAL_RE = re.compile(
 _DIGIT_RUN_RE = re.compile(r"[0-9]+")
 
 
-@dataclass(frozen=True)
-class ParsedAmount:
+class ParsedAmount(Record):
     """One parsed amount.
 
     ``span`` is a half-open index range into whatever the parse consumed:
@@ -94,8 +93,7 @@ def _is_power_of_ten(n: int) -> bool:
     return n == 1
 
 
-@dataclass(frozen=True)
-class MultiplierTable:
+class MultiplierTable(Record):
     """Number vocabulary for one language.
 
     ``units`` maps words to 0..99 plus the hundred word (value 100);

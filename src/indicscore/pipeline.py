@@ -15,8 +15,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .corpus import ManifestRow, SYNTH_SYSTEMS, _evolve, with_status
+from .corpus import SYNTH_SYSTEMS
 from .errors import ConfigurationError, DataError
+from .manifest import ManifestRow, _evolve, with_status
 
 # CPython's own SHA-256, as random.py takes its SHA-512: importing hashlib
 # would map OpenSSL's libcrypto into every pipeline verb. FIPS 180-4 fixes
@@ -205,7 +206,6 @@ def split_rows(rows: Iterable[ManifestRow]) -> Iterator[tuple[bool, ManifestRow]
     """
     not_accepted: list[str] = []
     unrouted: list[str] = []
-    sizes = {True: 0, False: 0}
     for row in rows:
         if row.status != "accepted":
             not_accepted.append(row.id)
@@ -213,23 +213,13 @@ def split_rows(rows: Iterable[ManifestRow]) -> Iterator[tuple[bool, ManifestRow]
             unrouted.append(row.id)
         if not_accepted or unrouted:
             continue
-        heldout = row.synth_system == HELDOUT_SYSTEM
-        sizes[heldout] += 1
-        yield heldout, row
+        yield row.synth_system == HELDOUT_SYSTEM, row
     if not_accepted:
         raise DataError(
             "split requires accepted rows only", [f"id {row_id!r}" for row_id in not_accepted]
         )
     if unrouted:
         raise DataError("split requires routed rows", [f"id {row_id!r}" for row_id in unrouted])
-    if not (sizes[True] and sizes[False]):
-        import logging  # only a split with an empty side logs
-
-        logger = logging.getLogger(__name__)
-        if not sizes[True]:
-            logger.warning("held-out split is empty: no rows from %s", HELDOUT_SYSTEM)
-        if not sizes[False]:
-            logger.warning("training split is empty")
 
 
 def split_heldout(rows: Iterable[ManifestRow]) -> SplitResult:

@@ -8,19 +8,18 @@ byte-identical reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .corpus import HoldoutRow, Prediction
 from .distance import ErrorRate, cer, wer
 from .errors import ConfigurationError, DataError
 from .matchers import EhrReport, MatchResult, ScoringConfig, aggregate_ehr, score_utterance
+from .record import Record
 from .script import SfrResult, aggregate_sfr, sfr
 from .textnorm import DEFAULT_NORM, NormConfig, format_value
 
 
-@dataclass(frozen=True)
-class UtteranceDetail:
+class UtteranceDetail(Record):
     """Per-utterance metrics plus every entity match decision."""
 
     id: str
@@ -30,8 +29,7 @@ class UtteranceDetail:
     matches: tuple[MatchResult, ...]
 
 
-@dataclass(frozen=True)
-class Scorecard:
+class Scorecard(Record):
     """Aggregate metrics for one system on one holdout."""
 
     system: str
@@ -199,8 +197,7 @@ VERDICT_APPLY = "apply_adaptation"
 VERDICT_CONTRAINDICATED = "contraindicated"
 
 
-@dataclass(frozen=True)
-class DiagnosticVerdict:
+class DiagnosticVerdict(Record):
     language: str
     per_holdout_sfr: Mapping[str, float]
     verdict: str

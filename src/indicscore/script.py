@@ -9,10 +9,10 @@ Digits and punctuation never affect the rate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import ConfigurationError, DataError
+from .record import Record
 
 # Inclusive codepoint ranges per supported language.
 SCRIPT_BLOCKS: dict[str, tuple[int, int]] = {
@@ -33,8 +33,7 @@ def script_block(language: str) -> tuple[int, int]:
         ) from None
 
 
-@dataclass(frozen=True)
-class SfrResult:
+class SfrResult(Record):
     """Letter tallies for one hypothesis; ``value`` is None when no letters."""
 
     letter_count: int

@@ -10,9 +10,9 @@ verb shares: the mode vocabularies and the fixed-decimal number rendering.
 from __future__ import annotations
 
 import unicodedata
-from dataclasses import dataclass
 
 from .errors import ConfigurationError
+from .record import Record
 
 
 def nfkc_normalize(text: str) -> str:
@@ -86,8 +86,7 @@ CURRENCY_MODES = ("strict", "bidirectional")  # matchers: how currency amounts c
 REWRITE_MODES = ("grouped", "digit_by_digit")  # numbers: how digit runs are spelled
 
 
-@dataclass(frozen=True)
-class NormConfig:
+class NormConfig(Record):
     """Normalization applied to reference and hypothesis before WER/CER.
 
     The default mode casefolds and strips token-edge punctuation; strict

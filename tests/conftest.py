@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from indicscore.corpus import ManifestRow
+from indicscore.manifest import ManifestRow
 
 
 def write_jsonl(path, records):

@@ -16,7 +16,7 @@ import pytest
 
 import test_matchers as matcher_suite
 from indicscore.cli import main as cli_main
-from indicscore.corpus import ManifestRow, save_manifest
+from indicscore.manifest import ManifestRow, save_manifest
 from indicscore.distance import levenshtein
 from indicscore.matchers import EntityToken, MatchResult, ScoringConfig, aggregate_ehr, score_utterance
 from indicscore.numbers import (

@@ -206,6 +206,84 @@ def test_score_csv_format(tmp_path, holdout_path, preds_path, capsys):
     assert header[:4] == ["system", "holdout", "language", "n"]
 
 
+@pytest.mark.parametrize("existing", [False, True])
+def test_score_writes_no_scorecard_when_the_detail_cannot_be_written(
+    tmp_path, holdout_path, preds_path, existing, capsys
+):
+    out = tmp_path / "ok.json"
+    if existing:
+        out.write_bytes(b"an earlier scorecard\n")
+    code = run(
+        "score", "--holdout", holdout_path, "--predictions", preds_path, "--lang", "te",
+        "--out", str(out), "--detail", str(tmp_path / "missing_dir" / "d.jsonl"),
+    )
+    assert code == 2
+    assert "data error: [Errno 2]" in capsys.readouterr().err
+    if existing:
+        assert out.read_bytes() == b"an earlier scorecard\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["holdout.jsonl", "preds.jsonl"] + (["ok.json"] if existing else [])
+    )
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root may create files in a 0o555 directory")
+def test_score_fails_on_a_writable_scorecard_in_a_read_only_directory(tmp_path, holdout_path, preds_path, capsys):
+    locked = tmp_path / "locked"
+    locked.mkdir()
+    out = locked / "card.json"
+    out.write_bytes(b"an earlier scorecard\n")
+    locked.chmod(0o555)
+    try:
+        code = run("score", "--holdout", holdout_path, "--predictions", preds_path, "--lang", "te", "--out", str(out))
+    finally:
+        locked.chmod(0o755)
+    assert code == 2
+    assert f"cannot create a temp file in {locked} to replace {out}" in capsys.readouterr().err
+    assert out.read_bytes() == b"an earlier scorecard\n"
+    assert [p.name for p in locked.iterdir()] == ["card.json"]
+
+
+BRAND_ROWS = [
+    {"id": f"b{i}", "text": f"{brand} లో ఆర్డర్ చేయండి", "language": "te", "entity_class": "brands",
+     "entity_tokens": [brand]}
+    for i, brand in enumerate(["Flipkart", "Zomato", "Flipkart", "Flipkart"])
+]
+
+
+def score_brands(tmp_path, jsonl_writer, *options):
+    holdout = jsonl_writer("brands.jsonl", BRAND_ROWS)
+    preds = jsonl_writer("brand_preds.jsonl", [{"id": r["id"], "hypothesis": r["text"]} for r in BRAND_ROWS])
+    return run(
+        "score", "--holdout", holdout, "--predictions", preds, "--lang", "te",
+        "--out", str(tmp_path / "card.json"), "--detail", str(tmp_path / "detail.jsonl"), *options,
+    )
+
+
+def test_score_warns_once_per_unlisted_brand_with_its_count(tmp_path, jsonl_writer, capsys):
+    assert score_brands(tmp_path, jsonl_writer) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "WARNING indicscore.matchers: brand 'Flipkart' has no alias entry;"
+        " matching on its own surface only (3 tokens)",
+        "WARNING indicscore.matchers: brand 'Zomato' has no alias entry;"
+        " matching on its own surface only (1 token)",
+    ]
+    card = json.loads((tmp_path / "card.json").read_text(encoding="utf-8"))
+    assert card["ehr"]["per_class"]["brand"]["hits"] == 4  # the fallback still hits
+
+
+def test_score_does_not_warn_of_a_listed_brand(tmp_path, jsonl_writer, capsys):
+    aliases = tmp_path / "aliases.tsv"
+    aliases.write_text("Flipkart\tflip kart\nZomato\n", encoding="utf-8")
+    assert score_brands(tmp_path, jsonl_writer, "--aliases", str(aliases)) == 0
+    assert capsys.readouterr().err == ""
+    aliases.write_text("Flipkart\tflip kart\n", encoding="utf-8")
+    assert score_brands(tmp_path, jsonl_writer, "--aliases", str(aliases)) == 0
+    assert capsys.readouterr().err == (
+        "WARNING indicscore.matchers: brand 'Zomato' has no alias entry;"
+        " matching on its own surface only (1 token)\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # diagnose
 # ---------------------------------------------------------------------------

@@ -12,11 +12,13 @@ from indicscore.corpus import (
     MANIFEST_STATUSES,
     SYNTH_SYSTEMS,
     HoldoutRow,
+    load_holdout,
+    load_predictions,
+)
+from indicscore.manifest import (
     ManifestRow,
     ValidationConfig,
-    load_holdout,
     load_manifest,
-    load_predictions,
     manifest_line,
     manifest_writers,
     read_manifest,

@@ -97,6 +97,35 @@ def test_matches_dp_on_repeated_multichar_tokens(a, b):
     assert levenshtein(a, b) == dp_levenshtein(a, b)
 
 
+# A shared prefix and suffix around two differing middles: the ends are
+# trimmed before the bit-parallel loop, and the middles may repeat the ends'
+# elements, so a greedy trim could cut into what an optimal alignment needs.
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([
+        st.text("abc", max_size=40),
+        st.text(TELUGU_CHARS, max_size=40),
+        st.lists(TOKENS, max_size=20),
+    ]).flatmap(lambda parts: st.tuples(parts, parts, parts, parts))
+)
+def test_shared_ends_match_dp(parts):
+    prefix, middle_a, middle_b, suffix = parts
+    a, b = prefix + middle_a + suffix, prefix + middle_b + suffix
+    expected = dp_levenshtein(a, b)
+    assert levenshtein(a, b) == expected
+    assert levenshtein(b, a) == expected
+    assert levenshtein(a, a + suffix) == len(suffix)
+    assert levenshtein(prefix + a, a) == len(prefix)
+
+
+def test_trimmed_ends_may_overlap():
+    # the shorter sequence is all prefix, and all suffix too
+    assert levenshtein("aaa", "aaaaa") == 2
+    assert levenshtein("abab", "ab") == 2
+    assert levenshtein(["x", "y", "x"], ["x"]) == 2
+    assert levenshtein("abcba", "abba") == 1
+
+
 def test_multichar_tokens_compare_whole():
     assert levenshtein(["ab", "ab", "ab"], ["ab", "ab"]) == 1
     assert levenshtein(["ab", "ba"], ["ba", "ab"]) == 2

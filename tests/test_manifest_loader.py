@@ -23,13 +23,10 @@ from indicscore.corpus import (
     MATCHER_CLASSES,
     SYNTH_SYSTEMS,
     EntityToken,
-    ManifestRow,
-    _evolve,
     _has_lone_surrogate,
     _required_str,
-    manifest_line,
-    read_manifest,
 )
+from indicscore.manifest import ManifestRow, _evolve, manifest_line, read_manifest
 from indicscore.errors import ConfigurationError, DataError
 from indicscore.textnorm import _strip_edges
 

@@ -149,7 +149,7 @@ class TestMatcherRuleBoundaries:
             result = score_one(token("Zomato", "brand"), "order on zomato", aliases=BRANDS)
         assert result.hit
         assert result.detail == "alias 'zomato' present"
-        assert any("no alias entry" in r.message for r in caplog.records)
+        assert caplog.records == []  # the CLI reports unlisted brands, once per surface
 
     def test_brand_empty_hypothesis_misses(self):
         assert not score_one(token("Paytm", "brand"), "", aliases=BRANDS).hit

@@ -41,7 +41,7 @@ def test_import_loads_no_submodule_until_a_name_is_read():
         "print(json.dumps([before, loaded()]))\n"
     )
     assert json.loads(run_python(code).stdout) == [
-        [], ["indicscore.distance", "indicscore.errors", "indicscore.textnorm"]
+        [], ["indicscore.distance", "indicscore.errors", "indicscore.record", "indicscore.textnorm"]
     ]
     assert set(indicscore.__all__) <= set(dir(indicscore))
     with pytest.raises(AttributeError):
@@ -57,7 +57,8 @@ VERB_BOOT = (
     "forks, fork = [], os.fork\n"
     "os.fork = lambda: forks.append(1) or fork()\n"
     "if sys.argv[1] == 'parts':\n"
-    "    cli._usable_cpus = lambda: 2\n"
+    "    from indicscore import pipeline_cli\n"
+    "    pipeline_cli._usable_cpus = lambda: 2\n"
     "code = cli.main(sys.argv[2:])\n"
     "print(json.dumps([code, sorted(sys.modules), len(forks)]), file=sys.stderr)\n"
 )
@@ -101,11 +102,9 @@ def pipeline_verb_modules(verb, manifest, out, parts=False):
 def test_pipeline_verb_loads_neither_scorer_nor_openssl(tmp_path, verb):
     manifest = write_manifest(tmp_path / "manifest.jsonl", 3)
     modules = pipeline_verb_modules(verb, manifest, tmp_path / "out.jsonl")
-    unwanted = {"indicscore.matchers", "indicscore.distance", "indicscore.scorecard"}
+    unwanted = {"indicscore.matchers", "indicscore.distance", "indicscore.scorecard", "logging"}
     if verb != "rewrite-digits":
         unwanted.add("indicscore.numbers")
-    if verb != "split":  # the one pipeline verb that can log
-        unwanted.add("logging")
     if HAS_BUILTIN_SHA256:
         unwanted.add("_hashlib")
     assert modules & unwanted == set()
@@ -113,7 +112,7 @@ def test_pipeline_verb_loads_neither_scorer_nor_openssl(tmp_path, verb):
 
 @pytest.mark.parametrize("verb", sorted(PIPELINE_VERBS))
 def test_a_verb_run_in_parts_loads_what_it_loads_in_one_process(tmp_path, verb):
-    from indicscore.cli import PART_BYTES
+    from indicscore.pipeline_cli import PART_BYTES
 
     small = write_manifest(tmp_path / "small.jsonl", 3)
     large = write_manifest(tmp_path / "large.jsonl", 2 * PART_BYTES // 200 + 1)
@@ -130,9 +129,46 @@ def test_score_loads_the_scorer(tmp_path):
     modules = verb_modules("score", "--holdout", str(holdout), "--predictions", str(preds), "--lang", "te")
     assert {m for m in modules if m.startswith("indicscore")} == {
         "indicscore", *(f"indicscore.{name}" for name in (
-            "cli", "corpus", "distance", "errors", "matchers", "numbers", "scorecard", "script", "textnorm",
+            "cli", "corpus", "distance", "errors", "matchers", "numbers", "record", "scorecard", "script", "textnorm",
         ))
     }
+
+
+# What score, diagnose and compare must not load: the pipeline steps, the
+# manifest I/O, logging (warnings are printed by the CLI) and dataclasses
+# (the scoring records are `record.Record`s).
+NOT_FOR_SCORING = {"indicscore.pipeline", "indicscore.pipeline_cli", "indicscore.manifest", "logging", "dataclasses"}
+
+
+def test_importing_the_cli_loads_no_pipeline_code():
+    code = "import json, sys\nimport indicscore.cli\nprint(json.dumps(sorted(sys.modules)))\n"
+    assert set(json.loads(run_python(code).stdout)) & NOT_FOR_SCORING == set()
+
+
+def test_scoring_verbs_load_no_pipeline_code(tmp_path):
+    row = {"id": "u1", "text": "Flipkart లో ఆర్డర్ 500081", "language": "te",
+           "entity_tokens": [{"surface": "Flipkart", "class": "brand"}, {"surface": "500081", "class": "pincode"}]}
+    holdout = write_jsonl(tmp_path / "holdout.jsonl", [row])
+    preds = write_jsonl(tmp_path / "preds.jsonl", [{"id": "u1", "hypothesis": row["text"]}])
+    card = tmp_path / "card.json"
+    # an unlisted brand: score warns, and still loads no logging
+    score = verb_modules("score", "--holdout", str(holdout), "--predictions", str(preds), "--lang", "te",
+                         "--out", str(card), "--detail", str(tmp_path / "detail.jsonl"))
+    transcripts = tmp_path / "t.txt"
+    transcripts.write_text("నమస్కారం\n", encoding="utf-8")
+    diagnose = verb_modules("diagnose", "--lang", "te", "--sfr", "a=0.5", "--transcripts", f"b={transcripts}")
+    compare = verb_modules("compare", "--baseline", str(card), str(card))
+    for modules in (score, diagnose, compare):
+        assert modules & NOT_FOR_SCORING == set()
+
+
+def test_manifest_names_read_through_corpus_are_the_manifest_objects():
+    from indicscore import corpus, manifest
+
+    for name in sorted(corpus._MANIFEST_NAMES):
+        assert getattr(corpus, name) is getattr(manifest, name), name
+    with pytest.raises(AttributeError):
+        corpus.no_such_name
 
 
 def test_routing_hash_falls_back_to_hashlib():

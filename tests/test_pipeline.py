@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import make_manifest_row
 from indicscore import pipeline
 from indicscore.corpus import CORPUS_CLASSES, SYNTH_SYSTEMS
-from indicscore.corpus import with_status
+from indicscore.manifest import with_status
 from indicscore.errors import ConfigurationError, DataError
 from indicscore.pipeline import (
     _sha256,
@@ -261,15 +261,6 @@ def test_split_requires_routed():
     rows = [with_status(r, "accepted") for r in many_rows(5)]
     with pytest.raises(DataError):
         split_heldout(rows)
-
-
-def test_split_warns_on_empty_heldout(caplog):
-    rows = [
-        with_status(make_manifest_row(i, synth_system="praxy"), "accepted") for i in range(3)
-    ]
-    result = split_heldout(rows)
-    assert result.heldout == ()
-    assert any("held-out split is empty" in r.message for r in caplog.records)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """A pipeline verb that splits its manifest into byte ranges, one process
 each, must give what the run in one process gives: exit code, stdout,
-stderr, warnings, output bytes and the files left in the directory.
+stderr (warnings included), output bytes and the files left in the
+directory.
 
 The split is forced on small manifests by making every byte a part
 (``PART_BYTES = 1``) and by choosing the number of usable CPUs.
@@ -9,7 +10,6 @@ The split is forced on small manifests by making every byte a part
 import contextlib
 import io
 import json
-import logging
 import os
 import subprocess
 import sys
@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from indicscore import cli, corpus
+from indicscore import cli, pipeline_cli
 from indicscore.corpus import CORPUS_CLASSES
 
 TEXTS = {
@@ -62,16 +62,6 @@ def verb_argv(verb, **options):
     return ["pipeline", verb, "--manifest", "{d}/m.jsonl", *argv]
 
 
-class _Lines(logging.Handler):
-    def __init__(self):
-        super().__init__(logging.WARNING)
-        self.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
-        self.lines = []
-
-    def emit(self, record):
-        self.lines.append(self.format(record))
-
-
 def outcome(directory, manifest, argv, cpus):
     """Run ``argv`` on a fresh copy of ``manifest`` with ``cpus`` usable CPUs;
     returns what it shows and leaves, how many times it forked, and whether
@@ -86,20 +76,15 @@ def outcome(directory, manifest, argv, cpus):
         forks.append(1)
         return real_fork()
 
-    stdout, stderr, warnings = io.StringIO(), io.StringIO(), _Lines()
-    logger = logging.getLogger("indicscore")
-    logger.addHandler(warnings)
-    try:
-        with mock.patch.object(cli, "PART_BYTES", 1), \
-                mock.patch.object(cli, "_usable_cpus", lambda: cpus), \
-                mock.patch.object(os, "fork", counting_fork), \
-                contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            cut = len(cli._byte_ranges(str(directory / "m.jsonl"), ())) > 1
-            code = cli.main([arg.format(d=directory) for arg in argv])
-    finally:
-        logger.removeHandler(warnings)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with mock.patch.object(pipeline_cli, "PART_BYTES", 1), \
+            mock.patch.object(pipeline_cli, "_usable_cpus", lambda: cpus), \
+            mock.patch.object(os, "fork", counting_fork), \
+            contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        cut = len(pipeline_cli._byte_ranges(str(directory / "m.jsonl"), ())) > 1
+        code = cli.main([arg.format(d=directory) for arg in argv])
     files = {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
-    return (code, stdout.getvalue(), stderr.getvalue(), warnings.lines, files), len(forks), cut
+    return (code, stdout.getvalue(), stderr.getvalue(), files), len(forks), cut
 
 
 def assert_parts_match_one_process(directory, manifest, argv, cpus=2):
@@ -121,17 +106,17 @@ def clean_rows(verb):
 
 def test_parts_are_forced_and_kept_on_a_clean_manifest(tmp_path):
     (tmp_path / "m.jsonl").write_bytes(encode(ROWS))
-    with mock.patch.object(cli, "PART_BYTES", 1), mock.patch.object(cli, "_usable_cpus", lambda: 3):
-        ranges = cli._byte_ranges(str(tmp_path / "m.jsonl"), ())
+    with mock.patch.object(pipeline_cli, "PART_BYTES", 1), mock.patch.object(pipeline_cli, "_usable_cpus", lambda: 3):
+        ranges = pipeline_cli._byte_ranges(str(tmp_path / "m.jsonl"), ())
     assert len(ranges) == 3 and ranges[0][0] == 0 and ranges[-1][1] is None
     assert all(stop == start for (_, stop), (start, _) in zip(ranges, ranges[1:]))
     data = (tmp_path / "m.jsonl").read_bytes()
     assert all(data[start - 1:start] == b"\n" for start, _ in ranges[1:])
     # below two parts, or on one CPU, a verb runs in one process
-    with mock.patch.object(cli, "_usable_cpus", lambda: 2):
-        assert len(cli._byte_ranges(str(tmp_path / "m.jsonl"), ())) == 1
-    with mock.patch.object(cli, "PART_BYTES", 1), mock.patch.object(cli, "_usable_cpus", lambda: 1):
-        assert len(cli._byte_ranges(str(tmp_path / "m.jsonl"), ())) == 1
+    with mock.patch.object(pipeline_cli, "_usable_cpus", lambda: 2):
+        assert len(pipeline_cli._byte_ranges(str(tmp_path / "m.jsonl"), ())) == 1
+    with mock.patch.object(pipeline_cli, "PART_BYTES", 1), mock.patch.object(pipeline_cli, "_usable_cpus", lambda: 1):
+        assert len(pipeline_cli._byte_ranges(str(tmp_path / "m.jsonl"), ())) == 1
 
 
 def test_a_process_with_other_threads_runs_the_verb_in_one_process(tmp_path):
@@ -140,8 +125,8 @@ def test_a_process_with_other_threads_runs_the_verb_in_one_process(tmp_path):
     other = threading.Thread(target=release.wait, daemon=True)
     other.start()
     try:
-        with mock.patch.object(cli, "PART_BYTES", 1), mock.patch.object(cli, "_usable_cpus", lambda: 3):
-            assert len(cli._byte_ranges(str(tmp_path / "m.jsonl"), ())) <= 1
+        with mock.patch.object(pipeline_cli, "PART_BYTES", 1), mock.patch.object(pipeline_cli, "_usable_cpus", lambda: 3):
+            assert len(pipeline_cli._byte_ranges(str(tmp_path / "m.jsonl"), ())) <= 1
     finally:
         release.set()
         other.join(timeout=10)
@@ -152,27 +137,27 @@ def test_an_output_written_in_place_keeps_the_verb_in_one_process(tmp_path):
     # a discarded run in parts would already have written to it
     (tmp_path / "m.jsonl").write_bytes(encode(ROWS))
     os.mkfifo(tmp_path / "out.fifo")
-    with mock.patch.object(cli, "PART_BYTES", 1), mock.patch.object(cli, "_usable_cpus", lambda: 3):
+    with mock.patch.object(pipeline_cli, "PART_BYTES", 1), mock.patch.object(pipeline_cli, "_usable_cpus", lambda: 3):
         for out in (os.devnull, str(tmp_path / "out.fifo")):
-            assert len(cli._byte_ranges(str(tmp_path / "m.jsonl"), (None, out))) <= 1
-        assert len(cli._byte_ranges(str(tmp_path / "m.jsonl"), (None, str(tmp_path / "new.jsonl")))) == 3
+            assert len(pipeline_cli._byte_ranges(str(tmp_path / "m.jsonl"), (None, out))) <= 1
+        assert len(pipeline_cli._byte_ranges(str(tmp_path / "m.jsonl"), (None, str(tmp_path / "new.jsonl")))) == 3
 
 
 @pytest.mark.parametrize("verb", VERBS)
 def test_a_clean_run_in_parts_is_kept(tmp_path, verb):
     kept = []
-    real = cli._run_in_parts
+    real = pipeline_cli._run_in_parts
 
     def spy(*args, **kwargs):
         result = real(*args, **kwargs)
         kept.append(result)
         return result
 
-    with mock.patch.object(cli, "_run_in_parts", spy):
+    with mock.patch.object(pipeline_cli, "_run_in_parts", spy):
         expected = assert_parts_match_one_process(tmp_path, encode(clean_rows(verb)), verb_argv(verb), cpus=3)
     assert expected[0] == 0
     assert kept  # no fallback: the merged run's summary was returned
-    assert not [name for name in expected[4] if name.startswith(".")]
+    assert not [name for name in expected[3] if name.startswith(".")]
 
 
 CASES = {
@@ -240,12 +225,12 @@ def split_rows(systems):
 ])
 def test_a_split_side_in_one_range_warns_as_the_one_process_run_does(tmp_path, systems, warnings):
     result = assert_parts_match_one_process(tmp_path, encode(split_rows(systems)), verb_argv("split"))
-    assert result[0] == 0 and result[3] == warnings
+    assert result[0] == 0 and result[2].splitlines() == warnings
 
 
 @pytest.mark.parametrize("when", ["before its summary", "after its summary"])
 def test_a_child_that_exits_non_zero_falls_back_to_one_process(tmp_path, when):
-    parent, real_read, real_exit = os.getpid(), corpus._read_manifest, os._exit
+    parent, real_read, real_exit = os.getpid(), pipeline_cli._read_manifest, os._exit
 
     def read_failing_in_children(*args):
         if os.getpid() != parent:
@@ -255,10 +240,10 @@ def test_a_child_that_exits_non_zero_falls_back_to_one_process(tmp_path, when):
     def exit_failing(code):
         real_exit(3)
 
-    failure = (mock.patch.object(corpus, "_read_manifest", read_failing_in_children) if when == "before its summary"
+    failure = (mock.patch.object(pipeline_cli, "_read_manifest", read_failing_in_children) if when == "before its summary"
                else mock.patch.object(os, "_exit", exit_failing))  # only children call os._exit
     raised = []
-    real_parts = cli._run_in_parts
+    real_parts = pipeline_cli._run_in_parts
 
     def spy(*args, **kwargs):
         try:
@@ -268,7 +253,7 @@ def test_a_child_that_exits_non_zero_falls_back_to_one_process(tmp_path, when):
             raise
 
     expected, _, _ = outcome(tmp_path, encode(ROWS), verb_argv("route"), 1)
-    with failure, mock.patch.object(cli, "_run_in_parts", spy):
+    with failure, mock.patch.object(pipeline_cli, "_run_in_parts", spy):
         got, forks, _ = outcome(tmp_path, encode(ROWS), verb_argv("route"), 2)
     assert forks and raised and got == expected and expected[0] == 0
 
@@ -289,8 +274,8 @@ def test_a_run_in_parts_leaves_no_file_descriptor_open(tmp_path, manifest):
 def test_a_run_in_parts_raises_no_resource_warning(tmp_path):
     code = (
         "import sys\n"
-        "from indicscore import cli\n"
-        "cli.PART_BYTES, cli._usable_cpus = 1, lambda: 3\n"
+        "from indicscore import cli, pipeline_cli\n"
+        "pipeline_cli.PART_BYTES, pipeline_cli._usable_cpus = 1, lambda: 3\n"
         "sys.exit(cli.main(sys.argv[1:]))\n"
     )
     src = str(Path(cli.__file__).resolve().parent.parent)
