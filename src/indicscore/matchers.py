@@ -25,9 +25,11 @@ reference is a pure word sequence ("ఇరవై లక్ష" against "2000000"
 mode scores such pairs by surface only, so strict hits are always a
 subset of bidirectional hits.
 
-`score_utterance` is the one entry point. It normalizes the hypothesis at
-most once per form (casefolded tokens, fused digit runs) and looks each
-token's matcher up in a table keyed by class. The Jaccard and LCS
+`score_utterance` is the one entry point. It looks each token's matcher
+up in a table keyed by class. The matchers read casefolded tokens of the
+hypothesis, of the entity surfaces and of the brand aliases through
+`textnorm.tokens_for_scoring`, whose memo of recent texts means each is
+normalized once however many tokens read it. The Jaccard and LCS
 thresholds and the window slop are fixed module constants.
 """
 
@@ -35,7 +37,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
@@ -43,9 +44,9 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .corpus import MATCHER_CLASSES, EntityToken
 from .distance import _position_masks
 from .errors import ConfigurationError, ReferenceDataError, read_utf8
-from .numbers import MultiplierTable, _parse_amount_tokens, _scan_amounts, load_language_table
+from .numbers import MultiplierTable, load_language_table, parse_amount_text, parse_currency_expression
 from .record import Record
-from .textnorm import CURRENCY_MODES, casefold_normalize, nfkc_normalize, tokenize, tokens_for_scoring
+from .textnorm import CURRENCY_MODES, casefold_normalize, nfkc_normalize, tokens_for_scoring
 
 # Relative tolerance for currency comparison: half a percent, inclusive.
 CURRENCY_TOLERANCE = Fraction(1, 200)
@@ -77,25 +78,19 @@ class AliasTable:
     """Groups of equivalent brand surfaces (canonical name plus aliases)."""
 
     def __init__(self, groups: Iterable[Iterable[str]] = ()):
-        # per group, each casefolded alias with its tokens, tokenized once at load
-        self._groups: list[tuple[tuple[str, list[str]], ...]] = []
+        self._groups: list[tuple[str, ...]] = []  # casefolded aliases per group
         self._index: dict[str, int] = {}
         for group in groups:
             normalized = tuple(dict.fromkeys(casefold_normalize(g) for g in group))
             if not normalized:
                 continue
             idx = len(self._groups)
-            self._groups.append(tuple((alias, tokenize(alias)) for alias in normalized))
+            self._groups.append(normalized)
             for surface in normalized:
                 # a surface may appear in one group only; first group wins
                 self._index.setdefault(surface, idx)
 
     def lookup(self, surface: str) -> tuple[str, ...] | None:
-        forms = self._lookup_forms(surface)
-        return tuple(alias for alias, _ in forms) if forms is not None else None
-
-    def _lookup_forms(self, surface: str) -> tuple[tuple[str, list[str]], ...] | None:
-        # lookup's group as (alias, alias tokens) pairs
         idx = self._index.get(casefold_normalize(surface))
         return self._groups[idx] if idx is not None else None
 
@@ -118,36 +113,23 @@ class AliasTable:
 # Helpers
 # ---------------------------------------------------------------------------
 
-class _Hypothesis:
-    """One hypothesis and its matching forms, each computed on first use."""
-
-    def __init__(self, text: str) -> None:
-        self.text = text
-
-    @cached_property
-    def tokens(self) -> list[str]:
-        """Casefolded tokens, shared by every token-level matcher."""
-        return tokens_for_scoring(self.text)
-
-    @cached_property
-    def digit_runs(self) -> list[str]:
-        """Maximal digit runs of the NFKC text, fused across separators."""
-        return [
-            m.group().replace(" ", "").replace(",", "")
-            for m in _FUSED_RUN_RE.finditer(nfkc_normalize(self.text))
-        ]
+def _digit_runs(text: str) -> list[str]:
+    # Maximal digit runs of the NFKC text, fused across separators.
+    return [
+        m.group().replace(" ", "").replace(",", "")
+        for m in _FUSED_RUN_RE.finditer(nfkc_normalize(text))
+    ]
 
 
 def _surface_digits(surface: str) -> str:
     return "".join(ch for ch in nfkc_normalize(surface) if "0" <= ch <= "9")
 
 
-def _contains_token_seq(haystack: Sequence[str], needle: Sequence[str]) -> bool:
+def _contains_token_seq(haystack: tuple[str, ...], needle: tuple[str, ...]) -> bool:
     n = len(needle)
     if n == 0 or n > len(haystack):
         return False
-    needle = list(needle)
-    return any(list(haystack[i : i + n]) == needle for i in range(len(haystack) - n + 1))
+    return any(haystack[i : i + n] == needle for i in range(len(haystack) - n + 1))
 
 
 def lcs_length(a: Sequence, b: Sequence) -> int:
@@ -172,39 +154,38 @@ def lcs_length(a: Sequence, b: Sequence) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Matchers: each takes (token, hypothesis view, config)
+# Matchers: each takes (token, hypothesis text, config)
 # ---------------------------------------------------------------------------
 
-def _match_digit_run(token: EntityToken, hyp: _Hypothesis, config: ScoringConfig) -> MatchResult:
+def _match_digit_run(token: EntityToken, hyp: str, config: ScoringConfig) -> MatchResult:
     """Exact maximal-digit-run match after NFKC and separator fusing."""
     ref = _surface_digits(token.surface)
-    if ref and ref in hyp.digit_runs:
+    if ref and ref in _digit_runs(hyp):
         return MatchResult(token.surface, "digit_run", True, f"run {ref} present")
     return MatchResult(token.surface, "digit_run", False)
 
 
-def _match_pincode(token: EntityToken, hyp: _Hypothesis, config: ScoringConfig) -> MatchResult:
+def _match_pincode(token: EntityToken, hyp: str, config: ScoringConfig) -> MatchResult:
     """Exact 6-digit run match; the reference must be exactly 6 digits."""
     ref = _surface_digits(token.surface)
     if len(ref) != 6:
         raise ReferenceDataError(
             f"pincode token {token.surface!r} must have exactly 6 digits, found {len(ref)}"
         )
-    if ref in hyp.digit_runs:
+    if ref in _digit_runs(hyp):
         return MatchResult(token.surface, "pincode", True, f"run {ref} present")
     return MatchResult(token.surface, "pincode", False)
 
 
-def _match_currency(token: EntityToken, hyp: _Hypothesis, config: ScoringConfig) -> MatchResult:
+def _match_currency(token: EntityToken, hyp: str, config: ScoringConfig) -> MatchResult:
     """Numeric currency match within +/-0.5 percent of the reference value."""
     table = config.table_for(token.language)
-    needle = tokens_for_scoring(token.surface)
-    parsed = _parse_amount_tokens(needle, table)  # parse_amount_text(token.surface, table)
+    parsed = parse_amount_text(token.surface, table)
     if parsed is None:
         raise ReferenceDataError(f"currency token {token.surface!r} does not parse as an amount")
 
     # Verbatim recovery of the reference surface always counts.
-    if _contains_token_seq(hyp.tokens, needle):
+    if _contains_token_seq(tokens_for_scoring(hyp), tokens_for_scoring(token.surface)):
         return MatchResult(token.surface, "currency_amount", True, "surface recovered verbatim")
 
     digit_anchored = any("0" <= ch <= "9" for ch in nfkc_normalize(token.surface))
@@ -215,7 +196,7 @@ def _match_currency(token: EntityToken, hyp: _Hypothesis, config: ScoringConfig)
 
     v_ref = parsed.value
     tolerance = v_ref * CURRENCY_TOLERANCE
-    for amount in _scan_amounts(hyp.tokens, table):
+    for amount in parse_currency_expression(hyp, table):
         if abs(amount.value - v_ref) <= tolerance:
             return MatchResult(
                 token.surface,
@@ -226,23 +207,24 @@ def _match_currency(token: EntityToken, hyp: _Hypothesis, config: ScoringConfig)
     return MatchResult(token.surface, "currency_amount", False)
 
 
-def _match_brand(token: EntityToken, hyp: _Hypothesis, config: ScoringConfig) -> MatchResult:
+def _match_brand(token: EntityToken, hyp: str, config: ScoringConfig) -> MatchResult:
     """Casefolded whole-token alias match ("Paytm" != "paytime")."""
-    forms = config.aliases._lookup_forms(token.surface) if config.aliases is not None else None
-    if forms is None:  # the CLI warns of each such surface once, with its count
-        forms = ((casefold_normalize(token.surface), tokens_for_scoring(token.surface)),)
-    for alias, alias_tokens in forms:
-        if _contains_token_seq(hyp.tokens, alias_tokens):
+    aliases = config.aliases.lookup(token.surface) if config.aliases is not None else None
+    if aliases is None:  # the CLI warns of each such surface once, with its count
+        aliases = (casefold_normalize(token.surface),)
+    hyp_tokens = tokens_for_scoring(hyp)
+    for alias in aliases:
+        if _contains_token_seq(hyp_tokens, tokens_for_scoring(alias)):
             return MatchResult(token.surface, "brand", True, f"alias {alias!r} present")
     return MatchResult(token.surface, "brand", False)
 
 
-def _match_proper_noun(token: EntityToken, hyp: _Hypothesis, config: ScoringConfig) -> MatchResult:
+def _match_proper_noun(token: EntityToken, hyp: str, config: ScoringConfig) -> MatchResult:
     """Token-set Jaccard >= JACCARD_THRESHOLD over k-1/k/k+1 hypothesis windows."""
     ref_set = set(tokens_for_scoring(token.surface))
     if not ref_set:
         raise ReferenceDataError(f"proper noun token {token.surface!r} has no comparable tokens")
-    hyp_tokens = hyp.tokens
+    hyp_tokens = tokens_for_scoring(hyp)
     k = len(ref_set)
     best = 0.0
     for width in range(max(1, k - WINDOW_SLOP), min(len(hyp_tokens), k + WINDOW_SLOP) + 1):
@@ -268,28 +250,28 @@ def _digit_sequence(tokens: Iterable[str], table: MultiplierTable) -> str:
     return "".join(out)
 
 
-def _match_spelled_digit(token: EntityToken, hyp: _Hypothesis, config: ScoringConfig) -> MatchResult:
+def _match_spelled_digit(token: EntityToken, hyp: str, config: ScoringConfig) -> MatchResult:
     """Digit-subsequence preservation: LCS ratio >= LCS_THRESHOLD."""
     table = config.table_for(token.language)
     ref = _digit_sequence(tokens_for_scoring(token.surface), table)
     if not ref:
         raise ReferenceDataError(f"spelled digit token {token.surface!r} yields no digits")
-    ratio = lcs_length(ref, _digit_sequence(hyp.tokens, table)) / len(ref)
+    ratio = lcs_length(ref, _digit_sequence(tokens_for_scoring(hyp), table)) / len(ref)
     detail = f"lcs {ratio:.3f} over {ref}"
     return MatchResult(token.surface, "spelled_digit", ratio >= LCS_THRESHOLD, detail)
 
 
-def _match_house_or_plot(token: EntityToken, hyp: _Hypothesis, config: ScoringConfig) -> MatchResult:
+def _match_house_or_plot(token: EntityToken, hyp: str, config: ScoringConfig) -> MatchResult:
     """Casefolded whole-token sequence match (identifiers like 8-2-293/82)."""
     needle = tokens_for_scoring(token.surface)
     if not needle:
         raise ReferenceDataError(f"house/plot token {token.surface!r} has no comparable tokens")
-    if _contains_token_seq(hyp.tokens, needle):
+    if _contains_token_seq(tokens_for_scoring(hyp), needle):
         return MatchResult(token.surface, "house_or_plot", True, "token sequence present")
     return MatchResult(token.surface, "house_or_plot", False)
 
 
-_MATCHERS: Mapping[str, Callable[[EntityToken, _Hypothesis, ScoringConfig], MatchResult]] = {
+_MATCHERS: Mapping[str, Callable[[EntityToken, str, ScoringConfig], MatchResult]] = {
     "digit_run": _match_digit_run,
     "pincode": _match_pincode,
     "currency_amount": _match_currency,
@@ -344,12 +326,11 @@ def score_utterance(
     """Match every reference entity token against one hypothesis.
 
     This is the one entry point to the matchers. The hypothesis is
-    normalized at most once per form, however many tokens it is matched
-    against.
+    normalized once, however many tokens it is matched against: its
+    scoring tokens come from the `textnorm` memo that WER reads too.
     """
     config = config or ScoringConfig()
-    hyp = _Hypothesis(hypothesis)
-    return [_MATCHERS[token.matcher_class](token, hyp, config) for token in tokens]
+    return [_MATCHERS[token.matcher_class](token, hypothesis, config) for token in tokens]
 
 
 # ---------------------------------------------------------------------------

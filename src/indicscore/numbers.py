@@ -384,12 +384,8 @@ def parse_amount_text(text: str, table: MultiplierTable) -> ParsedAmount | None:
     Currency markers are stripped and ignored; the remaining tokens must
     form exactly one amount.
     """
-    return _parse_amount_tokens(tokens_for_scoring(text), table)
-
-
-def _parse_amount_tokens(tokens: Iterable[str], table: MultiplierTable) -> ParsedAmount | None:
-    # parse_amount_text over the text's tokens_for_scoring, which are casefolded
-    toks = [t for t in tokens if t not in table.currency_markers]
+    # the scoring tokens are casefolded already
+    toks = [t for t in tokens_for_scoring(text) if t not in table.currency_markers]
     if not toks:
         return None
     return _parse_words(toks, table)
@@ -401,12 +397,7 @@ def parse_currency_expression(text: str, table: MultiplierTable) -> list[ParsedA
     Currency markers never change a value and act as transparent tokens.
     Spans index into the marker-filtered token sequence.
     """
-    return _scan_amounts(tokens_for_scoring(text), table)
-
-
-def _scan_amounts(tokens: Iterable[str], table: MultiplierTable) -> list[ParsedAmount]:
-    # The scan of parse_currency_expression over casefold-normalized tokens.
-    toks = [t for t in tokens if t not in table.currency_markers]
+    toks = [t for t in tokens_for_scoring(text) if t not in table.currency_markers]
     amounts: list[ParsedAmount] = []
     i = 0
     while i < len(toks):

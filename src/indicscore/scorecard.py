@@ -83,13 +83,14 @@ def score_predictions(
     details: list[UtteranceDetail] = []
     for row in matched:
         hypothesis = by_id[row.id].hypothesis
+        row_sfr = sfr(hypothesis, language)  # an unknown language stays a configuration error
         try:
             row_wer = wer(row.text, hypothesis, normalization)
             row_cer = cer(row.text, hypothesis, normalization)
-        except DataError as exc:
+            results = score_utterance(row.entity_tokens, hypothesis, config)
+        except (DataError, ConfigurationError) as exc:
+            # a row's text or entity tokens (a token's own language, say) are data
             raise DataError(f"row {row.id!r}: {exc}") from exc
-        row_sfr = sfr(hypothesis, language)
-        results = score_utterance(row.entity_tokens, hypothesis, config)
         word_distance += row_wer.distance
         word_total += row_wer.reference_length
         char_distance += row_cer.distance

@@ -10,6 +10,7 @@ verb shares: the mode vocabularies and the fixed-decimal number rendering.
 from __future__ import annotations
 
 import unicodedata
+from functools import lru_cache
 
 from .errors import ConfigurationError
 from .record import Record
@@ -119,14 +120,34 @@ def format_value(value: float | None, decimals: int = 3) -> str:
     return "—" if value is None else f"{value:.{decimals}f}"
 
 
+# How many texts keep their scoring forms. Scoring a row reads its reference
+# and hypothesis in WER and again in CER, and the hypothesis in every matcher,
+# with that token's surface and brand aliases read in between. On perfbench's
+# score workloads every such repeat hits from a bound of 6 up; 8 leaves room
+# for a larger alias group. A larger bound adds only hits across rows.
+_FORMS_CACHE_SIZE = 8
+
+
+@lru_cache(maxsize=_FORMS_CACHE_SIZE)
+def _scoring_forms(text: str, mode: str) -> tuple[str, tuple[str, ...]]:
+    # (characters, tokens) of text in a NormConfig mode. NFKC and casefold
+    # output is NFKC-stable, so the tokens are the pieces of the characters.
+    if mode == "default":
+        chars = collapse_whitespace(casefold_normalize(text))
+        return chars, tuple(tokenize(chars))
+    chars = collapse_whitespace(nfkc_normalize(text))
+    return chars, tuple(chars.split())
+
+
 def normalize_for_scoring(text: str, config: NormConfig = DEFAULT_NORM) -> str:
     """Character-level scoring form: NFKC (+casefold), whitespace collapsed."""
-    out = casefold_normalize(text) if config.mode == "default" else nfkc_normalize(text)
-    return collapse_whitespace(out)
+    return _scoring_forms(text, config.mode)[0]
 
 
-def tokens_for_scoring(text: str, config: NormConfig = DEFAULT_NORM) -> list[str]:
-    """Token-level scoring form used by WER and by the matchers."""
-    if config.mode == "default":
-        return tokenize(casefold_normalize(text))
-    return nfkc_normalize(text).split()
+def tokens_for_scoring(text: str, config: NormConfig = DEFAULT_NORM) -> tuple[str, ...]:
+    """Token-level scoring form used by WER and by the matchers.
+
+    Both forms of a text are computed together and the last few are kept,
+    so WER, CER and the matchers normalize each text once.
+    """
+    return _scoring_forms(text, config.mode)[1]

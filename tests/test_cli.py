@@ -150,13 +150,16 @@ def test_score_non_string_token_language_exits_2(tmp_path, preds_path, capsys):
     )
 
 
-def test_score_unknown_token_language_is_a_configuration_error(tmp_path, preds_path, capsys):
+def test_score_unknown_token_language_is_a_data_error_naming_the_row(tmp_path, preds_path, capsys):
+    # the language comes from the holdout file, not from the command line
     token = {"surface": "₹5,00,000", "class": "currency_amount", "language": "xx"}
     holdout = tmp_path / "holdout.jsonl"
     holdout.write_text(json.dumps({**TE_ROWS[1], "entity_tokens": [token]}) + "\n", encoding="utf-8")
     code = run("score", "--holdout", str(holdout), "--predictions", preds_path, "--lang", "te")
-    assert code == 1
-    assert "no bundled number lexicon for language 'xx'" in capsys.readouterr().err
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"data error: row {TE_ROWS[1]['id']!r}: no bundled number lexicon for language 'xx'\n"
+    )
 
 
 def test_score_missing_file_exits_2(holdout_path):

@@ -10,7 +10,6 @@ from indicscore.matchers import ScoringConfig
 from indicscore.numbers import (
     ENGLISH_TABLE,
     _english_entries,
-    _parse_amount_tokens,
     _spell_count,
     _spell_small,
     _spelling_word,
@@ -207,11 +206,13 @@ def test_parse_amount_text_whole_input_only():
     st.sampled_from([EN, TE.merged_with(EN)]),
 )
 def test_amount_parse_from_scoring_tokens_equals_parse_amount_text(text, table):
-    # The matchers parse a currency surface from its scoring tokens, which are
-    # casefolded already, and so skip parse_number_words' casefold.
+    # parse_amount_text parses the scoring tokens, which are casefolded already,
+    # and so skips parse_number_words' casefold.
     tokens = tokens_for_scoring(text)
     assert all(casefold_normalize(t) == t for t in tokens)
-    assert _parse_amount_tokens(tokens, table) == parse_amount_text(text, table)
+    amount_tokens = [t for t in tokens if t not in table.currency_markers]
+    expected = parse_number_words(amount_tokens, table) if amount_tokens else None
+    assert parse_amount_text(text, table) == expected
 
 
 def test_parse_currency_expression_scans():

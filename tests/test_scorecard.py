@@ -1,8 +1,11 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from indicscore.corpus import HoldoutRow, Prediction
+from indicscore.distance import cer, wer
 from indicscore.errors import ConfigurationError, DataError
-from indicscore.matchers import EntityToken, ScoringConfig
+from indicscore.matchers import AliasTable, EntityToken, ScoringConfig
 from indicscore.scorecard import (
     SFR_DIAGNOSTIC_THRESHOLD,
     VERDICT_APPLY,
@@ -16,7 +19,7 @@ from indicscore.scorecard import (
     score_predictions,
     scorecard_record,
 )
-from indicscore.textnorm import STRICT_NORM
+from indicscore.textnorm import DEFAULT_NORM, STRICT_NORM
 
 ROWS = [
     HoldoutRow(
@@ -105,6 +108,78 @@ def test_row_error_names_the_row():
     with pytest.raises(DataError) as exc:
         score(rows=rows, predictions=[Prediction(id="weird", hypothesis="x")])
     assert "weird" in str(exc.value)
+    # an entity token the matchers cannot use is an error of the row's data too
+    for token, message in (
+        (EntityToken("50008", "pincode"), "pincode token '50008' must have exactly 6 digits, found 5"),
+        (EntityToken("lots", "currency_amount"), "currency token 'lots' does not parse as an amount"),
+        (EntityToken("₹500", "currency_amount", "fr"), "no bundled number lexicon for language 'fr'"),
+    ):
+        rows = [HoldoutRow(id="u9", text="పిన్ 500081", language="te", entity_tokens=(token,))]
+        with pytest.raises(DataError) as exc:
+            score(rows=rows, predictions=[Prediction(id="u9", hypothesis="పిన్ 500081")])
+        assert str(exc.value) == f"row 'u9': {message}"
+
+
+# Generated holdouts: rows of words, odd spaces and entities of all seven
+# classes, each entity's surface inside its row's text.
+ENTITIES = [
+    ("digit_run", "98765"),
+    ("pincode", "500081"),
+    ("currency_amount", "₹5,00,000"),
+    ("currency_amount", "ఐదు లక్షల"),
+    ("brand", "Paytm"),
+    ("proper_noun", "Jubilee Hills"),
+    ("spelled_digit", "five four two"),
+    ("house_or_plot", "8-2-293/82"),
+]
+WORDS = ["పిన్", "కోడ్", "పంపండి", "Pay", "now,", "(ok)", "５０", "Straße", "K"]
+SEPARATORS = st.sampled_from([" ", "  ", "\t", "\u00a0", "\u3000", " ... "])
+
+
+@st.composite
+def holdout_texts(draw):
+    pieces = draw(st.lists(st.sampled_from(WORDS), min_size=1, max_size=6))
+    entities = draw(st.lists(st.sampled_from(ENTITIES), max_size=4))
+    pieces = draw(st.permutations(pieces + [surface for _, surface in entities]))
+    text = "".join(piece + draw(SEPARATORS) for piece in pieces)
+    return text, tuple(EntityToken(surface, cls) for cls, surface in entities)
+
+
+@st.composite
+def holdouts(draw):
+    rows = []
+    for i in range(draw(st.integers(1, 4))):
+        text, tokens = draw(holdout_texts())
+        rows.append(HoldoutRow(id=f"g{i}", text=text, language="te", entity_tokens=tokens))
+    return rows
+
+
+GENERATED_CONFIGS = st.builds(
+    ScoringConfig,
+    language=st.just("te"),
+    currency_mode=st.sampled_from(["strict", "bidirectional"]),
+    aliases=st.just(AliasTable([["Paytm", "పేటీఎం"]])),
+)
+NORMS = st.sampled_from([DEFAULT_NORM, STRICT_NORM])
+
+
+@given(holdouts(), GENERATED_CONFIGS, NORMS)
+def test_a_row_scored_against_its_own_text_has_no_errors(rows, config, normalization):
+    # EHR = 1 too once a reference digit run fused into a longer run can hit
+    predictions = [Prediction(id=row.id, hypothesis=row.text) for row in rows]
+    card, details = score(rows, predictions, config=config, normalization=normalization)
+    assert card.wer.distance == card.cer.distance == 0
+    assert all(d.wer == d.cer == 0.0 for d in details)
+
+
+@given(holdouts(), st.lists(holdout_texts(), min_size=4, max_size=4), GENERATED_CONFIGS, NORMS)
+def test_pooled_error_rates_are_the_sums_of_the_rows(rows, hypotheses, config, normalization):
+    predictions = [Prediction(id=row.id, hypothesis=hyp) for row, (hyp, _) in zip(rows, hypotheses)]
+    card, _ = score(rows, predictions, config=config, normalization=normalization)
+    for pooled, metric in ((card.wer, wer), (card.cer, cer)):
+        per_row = [metric(row.text, p.hypothesis, normalization) for row, p in zip(rows, predictions)]
+        assert pooled.distance == sum(r.distance for r in per_row)
+        assert pooled.reference_length == sum(r.reference_length for r in per_row)
 
 
 def test_normalization_config_respected():

@@ -57,8 +57,8 @@ def test_norm_config_labels():
 
 def test_strict_config_keeps_case_and_edges():
     text = "Visit (Paytm)."
-    assert tokens_for_scoring(text, STRICT_NORM) == ["Visit", "(Paytm)."]
-    assert tokens_for_scoring(text, DEFAULT_NORM) == ["visit", "paytm"]
+    assert tokens_for_scoring(text, STRICT_NORM) == ("Visit", "(Paytm).")
+    assert tokens_for_scoring(text, DEFAULT_NORM) == ("visit", "paytm")
     assert normalize_for_scoring("A  B", STRICT_NORM) == "A B"
 
 
@@ -107,3 +107,30 @@ EDGY_TEXT = st.text(
 @given(st.one_of(EDGY_TEXT, st.text(max_size=80)))
 def test_token_count_is_the_length_of_tokenize(s):
     assert token_count(nfkc_normalize(s)) == len(tokenize(s))
+
+
+# Text where the scoring forms could part from their definitions: combining
+# marks, tab, NBSP and ideographic spaces, fullwidth digits, compatibility
+# letters and punctuation at token edges.
+SCORING_TEXT = st.text(
+    st.one_of(
+        st.characters(categories=("L", "M", "N", "P", "S")),
+        st.sampled_from(" \t\n\u00a0\u3000０５９.,!?()\"'₹…।KßİſＡ\u0301\u0c4d"),
+    ),
+    max_size=40,
+)
+
+
+@given(SCORING_TEXT, st.sampled_from([DEFAULT_NORM, STRICT_NORM]))
+def test_scoring_forms_equal_their_definitions(text, config):
+    # each form as it was defined before both were computed together and kept
+    if config.mode == "default":
+        chars = collapse_whitespace(casefold_normalize(text))
+        tokens = tokenize(casefold_normalize(text))
+    else:
+        chars = collapse_whitespace(nfkc_normalize(text))
+        tokens = nfkc_normalize(text).split()
+    assert normalize_for_scoring(text, config) == chars
+    first = tokens_for_scoring(text, config)
+    assert first == tuple(tokens)
+    assert tokens_for_scoring(text, config) == first
