@@ -28,7 +28,7 @@ _EXPORTS = {
         "aggregate_ehr", "lcs_length", "score_utterance",
     ),
     "numbers": (
-        "MultiplierTable", "ParsedAmount", "load_language_table", "load_lexicon",
+        "MultiplierTable", "load_language_table", "load_lexicon",
         "parse_amount_text", "parse_currency_expression", "parse_latin_numeral",
         "parse_number_words", "rewrite_digit_runs", "spell_number",
     ),

@@ -154,60 +154,51 @@ def lcs_length(a: Sequence, b: Sequence) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Matchers: each takes (token, hypothesis text, config)
+# Matchers: each takes (token, hypothesis text, config) and returns (hit, detail)
 # ---------------------------------------------------------------------------
 
-def _match_digit_run(token: EntityToken, hyp: str, config: ScoringConfig) -> MatchResult:
+def _match_digit_run(token: EntityToken, hyp: str, config: ScoringConfig) -> tuple[bool, str]:
     """Exact maximal-digit-run match after NFKC and separator fusing."""
     ref = _surface_digits(token.surface)
     if ref and ref in _digit_runs(hyp):
-        return MatchResult(token.surface, "digit_run", True, f"run {ref} present")
-    return MatchResult(token.surface, "digit_run", False)
+        return True, f"run {ref} present"
+    return False, ""
 
 
-def _match_pincode(token: EntityToken, hyp: str, config: ScoringConfig) -> MatchResult:
-    """Exact 6-digit run match; the reference must be exactly 6 digits."""
-    ref = _surface_digits(token.surface)
-    if len(ref) != 6:
+def _match_pincode(token: EntityToken, hyp: str, config: ScoringConfig) -> tuple[bool, str]:
+    """A digit-run match whose reference must be exactly 6 digits."""
+    digits = len(_surface_digits(token.surface))
+    if digits != 6:
         raise ReferenceDataError(
-            f"pincode token {token.surface!r} must have exactly 6 digits, found {len(ref)}"
+            f"pincode token {token.surface!r} must have exactly 6 digits, found {digits}"
         )
-    if ref in _digit_runs(hyp):
-        return MatchResult(token.surface, "pincode", True, f"run {ref} present")
-    return MatchResult(token.surface, "pincode", False)
+    return _match_digit_run(token, hyp, config)
 
 
-def _match_currency(token: EntityToken, hyp: str, config: ScoringConfig) -> MatchResult:
+def _match_currency(token: EntityToken, hyp: str, config: ScoringConfig) -> tuple[bool, str]:
     """Numeric currency match within +/-0.5 percent of the reference value."""
     table = config.table_for(token.language)
-    parsed = parse_amount_text(token.surface, table)
-    if parsed is None:
+    v_ref = parse_amount_text(token.surface, table)
+    if v_ref is None:
         raise ReferenceDataError(f"currency token {token.surface!r} does not parse as an amount")
 
     # Verbatim recovery of the reference surface always counts.
     if _contains_token_seq(tokens_for_scoring(hyp), tokens_for_scoring(token.surface)):
-        return MatchResult(token.surface, "currency_amount", True, "surface recovered verbatim")
+        return True, "surface recovered verbatim"
 
-    digit_anchored = any("0" <= ch <= "9" for ch in nfkc_normalize(token.surface))
-    if config.currency_mode == "strict" and not digit_anchored:
+    if config.currency_mode == "strict" and not _surface_digits(token.surface):
         # The surface offers no Latin digits to compare, and strict mode
         # does not trust a word-level value for the reference.
-        return MatchResult(token.surface, "currency_amount", False, "no digit anchor in strict mode")
+        return False, "no digit anchor in strict mode"
 
-    v_ref = parsed.value
     tolerance = v_ref * CURRENCY_TOLERANCE
-    for amount in parse_currency_expression(hyp, table):
-        if abs(amount.value - v_ref) <= tolerance:
-            return MatchResult(
-                token.surface,
-                "currency_amount",
-                True,
-                f"hypothesis amount {amount.value} within 0.5% of {v_ref}",
-            )
-    return MatchResult(token.surface, "currency_amount", False)
+    for value in parse_currency_expression(hyp, table):
+        if abs(value - v_ref) <= tolerance:
+            return True, f"hypothesis amount {value} within 0.5% of {v_ref}"
+    return False, ""
 
 
-def _match_brand(token: EntityToken, hyp: str, config: ScoringConfig) -> MatchResult:
+def _match_brand(token: EntityToken, hyp: str, config: ScoringConfig) -> tuple[bool, str]:
     """Casefolded whole-token alias match ("Paytm" != "paytime")."""
     aliases = config.aliases.lookup(token.surface) if config.aliases is not None else None
     if aliases is None:  # the CLI warns of each such surface once, with its count
@@ -215,11 +206,11 @@ def _match_brand(token: EntityToken, hyp: str, config: ScoringConfig) -> MatchRe
     hyp_tokens = tokens_for_scoring(hyp)
     for alias in aliases:
         if _contains_token_seq(hyp_tokens, tokens_for_scoring(alias)):
-            return MatchResult(token.surface, "brand", True, f"alias {alias!r} present")
-    return MatchResult(token.surface, "brand", False)
+            return True, f"alias {alias!r} present"
+    return False, ""
 
 
-def _match_proper_noun(token: EntityToken, hyp: str, config: ScoringConfig) -> MatchResult:
+def _match_proper_noun(token: EntityToken, hyp: str, config: ScoringConfig) -> tuple[bool, str]:
     """Token-set Jaccard >= JACCARD_THRESHOLD over k-1/k/k+1 hypothesis windows."""
     ref_set = set(tokens_for_scoring(token.surface))
     if not ref_set:
@@ -233,8 +224,8 @@ def _match_proper_noun(token: EntityToken, hyp: str, config: ScoringConfig) -> M
             overlap = len(ref_set & window) / len(ref_set | window)
             best = max(best, overlap)
     if best >= JACCARD_THRESHOLD:
-        return MatchResult(token.surface, "proper_noun", True, f"jaccard {best:.3f}")
-    return MatchResult(token.surface, "proper_noun", False, f"best jaccard {best:.3f}")
+        return True, f"jaccard {best:.3f}"
+    return False, f"best jaccard {best:.3f}"
 
 
 def _digit_sequence(tokens: Iterable[str], table: MultiplierTable) -> str:
@@ -250,28 +241,27 @@ def _digit_sequence(tokens: Iterable[str], table: MultiplierTable) -> str:
     return "".join(out)
 
 
-def _match_spelled_digit(token: EntityToken, hyp: str, config: ScoringConfig) -> MatchResult:
+def _match_spelled_digit(token: EntityToken, hyp: str, config: ScoringConfig) -> tuple[bool, str]:
     """Digit-subsequence preservation: LCS ratio >= LCS_THRESHOLD."""
     table = config.table_for(token.language)
     ref = _digit_sequence(tokens_for_scoring(token.surface), table)
     if not ref:
         raise ReferenceDataError(f"spelled digit token {token.surface!r} yields no digits")
     ratio = lcs_length(ref, _digit_sequence(tokens_for_scoring(hyp), table)) / len(ref)
-    detail = f"lcs {ratio:.3f} over {ref}"
-    return MatchResult(token.surface, "spelled_digit", ratio >= LCS_THRESHOLD, detail)
+    return ratio >= LCS_THRESHOLD, f"lcs {ratio:.3f} over {ref}"
 
 
-def _match_house_or_plot(token: EntityToken, hyp: str, config: ScoringConfig) -> MatchResult:
+def _match_house_or_plot(token: EntityToken, hyp: str, config: ScoringConfig) -> tuple[bool, str]:
     """Casefolded whole-token sequence match (identifiers like 8-2-293/82)."""
     needle = tokens_for_scoring(token.surface)
     if not needle:
         raise ReferenceDataError(f"house/plot token {token.surface!r} has no comparable tokens")
     if _contains_token_seq(tokens_for_scoring(hyp), needle):
-        return MatchResult(token.surface, "house_or_plot", True, "token sequence present")
-    return MatchResult(token.surface, "house_or_plot", False)
+        return True, "token sequence present"
+    return False, ""
 
 
-_MATCHERS: Mapping[str, Callable[[EntityToken, str, ScoringConfig], MatchResult]] = {
+_MATCHERS: Mapping[str, Callable[[EntityToken, str, ScoringConfig], tuple[bool, str]]] = {
     "digit_run": _match_digit_run,
     "pincode": _match_pincode,
     "currency_amount": _match_currency,
@@ -330,7 +320,11 @@ def score_utterance(
     scoring tokens come from the `textnorm` memo that WER reads too.
     """
     config = config or ScoringConfig()
-    return [_MATCHERS[token.matcher_class](token, hypothesis, config) for token in tokens]
+    results = []
+    for token in tokens:
+        hit, detail = _MATCHERS[token.matcher_class](token, hypothesis, config)
+        results.append(MatchResult(token.surface, token.matcher_class, hit, detail))
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -55,28 +55,14 @@ _NUMERAL_RE = re.compile(
 _DIGIT_RUN_RE = re.compile(r"[0-9]+")
 
 
-class ParsedAmount(Record):
-    """One parsed amount.
-
-    ``span`` is a half-open index range into whatever the parse consumed:
-    characters for `parse_latin_numeral`, tokens for the word-level parsers.
-    """
-
-    value: Fraction
-    span: tuple[int, int]
-    source_form: str  # "latin_numeral" | "word_sequence" | "mixed"
-
-
-def parse_latin_numeral(text: str) -> ParsedAmount | None:
+def parse_latin_numeral(text: str) -> Fraction | None:
     """Parse one Latin numeral with optional grouping and decimal point.
 
     Comma placement must follow either the Western or the Indian
     convention; anything else (e.g. "5,0,0") is rejected.
     """
     s = nfkc_normalize(text)
-    if not _NUMERAL_RE.fullmatch(s):
-        return None
-    return ParsedAmount(Fraction(s.replace(",", "")), (0, len(text)), "latin_numeral")
+    return Fraction(s.replace(",", "")) if _NUMERAL_RE.fullmatch(s) else None
 
 
 # ---------------------------------------------------------------------------
@@ -283,26 +269,22 @@ def load_language_table(language: str) -> MultiplierTable:
 
 def _parse_run(
     tokens: Sequence[str], table: MultiplierTable, start: int = 0
-) -> tuple[Fraction, int, str] | None:
+) -> tuple[Fraction, int] | None:
     """Parse the longest valid prefix of ``tokens[start:]`` as one amount.
 
-    Returns (value, tokens consumed, source form) or None. Tokens must
-    already be casefold-normalized.
+    Returns (value, tokens consumed) or None. Tokens must already be
+    casefold-normalized, and so NFKC: a numeral token is read as it is.
     """
     groups_total = Fraction(0)
     last_mult: int | None = None
     current = Fraction(0)
     has_current = False
-    used_word = used_numeral = False
-    best: tuple[Fraction, int, str] | None = None
+    best: tuple[Fraction, int] | None = None
 
     for i in range(start, len(tokens)):
         tok = tokens[i]
         unit = table.units.get(tok)
         mult = table.multipliers.get(tok)
-        numeral = None
-        if unit is None and mult is None:
-            numeral = parse_latin_numeral(tok)
 
         if unit is not None:
             if unit == 100:
@@ -321,7 +303,6 @@ def _parse_run(
                 current += unit  # "twenty" + "one"
             else:
                 break
-            used_word = True
         elif mult is not None:
             if has_current and current > 0:
                 if last_mult is None or mult < last_mult:
@@ -340,27 +321,22 @@ def _parse_run(
             last_mult = mult
             current = Fraction(0)
             has_current = False
-            used_word = True
-        elif numeral is not None:
+        elif _NUMERAL_RE.fullmatch(tok):
             if has_current:
                 break  # two numerals never fuse into one amount
-            current = numeral.value
+            current = Fraction(tok.replace(",", ""))
             has_current = True
-            used_numeral = True
         else:
             break
 
         # snapshot whenever the expression could legally end here
         if (has_current or last_mult is not None) and (last_mult is None or current < last_mult):
-            form = "mixed" if used_word and used_numeral else (
-                "word_sequence" if used_word else "latin_numeral"
-            )
-            best = (groups_total + current, i + 1 - start, form)
+            best = (groups_total + current, i + 1 - start)
 
     return best
 
 
-def parse_number_words(tokens: Sequence[str], table: MultiplierTable) -> ParsedAmount | None:
+def parse_number_words(tokens: Sequence[str], table: MultiplierTable) -> Fraction | None:
     """Parse a whole token sequence as one amount, or None.
 
     Trailing tokens that are not part of the amount make the parse fail;
@@ -369,16 +345,13 @@ def parse_number_words(tokens: Sequence[str], table: MultiplierTable) -> ParsedA
     return _parse_words([casefold_normalize(t) for t in tokens], table)
 
 
-def _parse_words(tokens: Sequence[str], table: MultiplierTable) -> ParsedAmount | None:
+def _parse_words(tokens: Sequence[str], table: MultiplierTable) -> Fraction | None:
     # parse_number_words over tokens already casefold-normalized
     result = _parse_run(tokens, table)
-    if result is None or result[1] != len(tokens):
-        return None
-    value, consumed, form = result
-    return ParsedAmount(value, (0, consumed), form)
+    return result[0] if result is not None and result[1] == len(tokens) else None
 
 
-def parse_amount_text(text: str, table: MultiplierTable) -> ParsedAmount | None:
+def parse_amount_text(text: str, table: MultiplierTable) -> Fraction | None:
     """Parse one free-text amount ("₹5,00,000", "ఐదు లక్షల").
 
     Currency markers are stripped and ignored; the remaining tokens must
@@ -391,23 +364,21 @@ def parse_amount_text(text: str, table: MultiplierTable) -> ParsedAmount | None:
     return _parse_words(toks, table)
 
 
-def parse_currency_expression(text: str, table: MultiplierTable) -> list[ParsedAmount]:
-    """Scan text for every maximal numeric expression, in order.
+def parse_currency_expression(text: str, table: MultiplierTable) -> list[Fraction]:
+    """Scan text for the value of every maximal numeric expression, in order.
 
     Currency markers never change a value and act as transparent tokens.
-    Spans index into the marker-filtered token sequence.
     """
     toks = [t for t in tokens_for_scoring(text) if t not in table.currency_markers]
-    amounts: list[ParsedAmount] = []
+    amounts: list[Fraction] = []
     i = 0
     while i < len(toks):
         result = _parse_run(toks, table, i)
         if result is None:
             i += 1
             continue
-        value, consumed, form = result
-        amounts.append(ParsedAmount(value, (i, i + consumed), form))
-        i += consumed
+        amounts.append(result[0])
+        i += result[1]
     return amounts
 
 

@@ -74,7 +74,7 @@ def test_criterion_01_ehr_micro_and_macro_from_reference_tallies():
 
 def test_criterion_02_currency_forms_are_equivalent():
     forms = ["5 lakh", "five hundred thousand", "500000", "₹5,00,000"]
-    values = [parse_amount_text(f, ENGLISH_TABLE).value for f in forms]
+    values = [parse_amount_text(f, ENGLISH_TABLE) for f in forms]
     assert all(v == Fraction(500000) for v in values), values
 
     digit_anchored = {"500000", "₹5,00,000", "5 lakh"}
@@ -103,8 +103,7 @@ def test_criterion_03_spell_parse_round_trip():
     values = [rng.randint(0, 10**9) for _ in range(1000)]
     for value in values:
         for lang, table in tables.items():
-            parsed = parse_number_words(spell_number(value, table), table)
-            assert parsed is not None and parsed.value == value, (lang, value)
+            assert parse_number_words(spell_number(value, table), table) == value, (lang, value)
     report(3, "1000 seeded ints in [0, 1e9] round-trip in en, te, ta, hi")
 
 
