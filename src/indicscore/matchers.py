@@ -4,10 +4,13 @@ Each matcher answers one question: does the hypothesis recover this
 reference entity token, under the normalization that is fair for its
 class? The class rules:
 
-  digit_run        exact match of a maximal digit run after NFKC; runs in
-                   the hypothesis are fused across single spaces and
-                   grouping commas ("98765 43210" recovers "9876543210")
-  pincode          a maximal digit run equal to the 6-digit token
+  digit_run        the reference digits equal consecutive blocks of one
+                   hypothesis digit run after NFKC. A run fuses across
+                   single spaces and grouping commas and splits into
+                   groups at them; consecutive one-digit groups merge into
+                   one block ("98765 43210" recovers "9876543210" and
+                   "98765"; "5 0 0 0 8 1" recovers "500081" but not "008")
+  pincode          the digit_run rule for a token of exactly 6 digits
   currency_amount  any parsed hypothesis amount within +/-0.5 percent of
                    the reference value (inclusive, exact rationals)
   brand            casefolded whole-token alias match via the alias table
@@ -26,17 +29,20 @@ mode scores such pairs by surface only, so strict hits are always a
 subset of bidirectional hits.
 
 `score_utterance` is the one entry point. It looks each token's matcher
-up in a table keyed by class. The matchers read casefolded tokens of the
-hypothesis, of the entity surfaces and of the brand aliases through
-`textnorm.tokens_for_scoring`, whose memo of recent texts means each is
-normalized once however many tokens read it. The Jaccard and LCS
-thresholds and the window slop are fixed module constants.
+up in a table keyed by class and records the (hit, detail) verdict the
+matcher returns as the token's `MatchResult`. The matchers read
+casefolded tokens of the hypothesis, of the entity surfaces and of the
+brand aliases through `textnorm.tokens_for_scoring`, whose memo of
+recent texts means each is normalized once however many tokens read it.
+The Jaccard and LCS thresholds and the window slop are fixed module
+constants.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import accumulate, groupby
 from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
@@ -61,6 +67,7 @@ LCS_THRESHOLD = 0.80
 # A maximal digit run, permitting a single grouping comma or space between
 # digits so that "98765 43210" and "9,876,543,210" fuse to one run.
 _FUSED_RUN_RE = re.compile(r"[0-9](?:[ ,]?[0-9])*")
+_GROUP_SEPARATOR_RE = re.compile(r"[ ,]")
 
 
 class MatchResult(Record):
@@ -113,12 +120,23 @@ class AliasTable:
 # Helpers
 # ---------------------------------------------------------------------------
 
-def _digit_runs(text: str) -> list[str]:
-    # Maximal digit runs of the NFKC text, fused across separators.
-    return [
-        m.group().replace(" ", "").replace(",", "")
-        for m in _FUSED_RUN_RE.finditer(nfkc_normalize(text))
-    ]
+def _digit_run_present(ref: str, text: str) -> bool:
+    """Whether ``ref`` is the digits of consecutive blocks of one fused run.
+
+    A fused run splits into groups at each space or comma, and consecutive
+    one-digit groups merge into one block: "98765 500081" offers 98765,
+    500081 and both together, while "5 0 0 0 8 1" offers only 500081.
+    """
+    for match in _FUSED_RUN_RE.finditer(nfkc_normalize(text)):
+        blocks: list[str] = []
+        groups = _GROUP_SEPARATOR_RE.split(match.group())
+        for single, run in groupby(groups, lambda g: len(g) == 1):
+            blocks += ["".join(run)] if single else run
+        digits = "".join(blocks)
+        bounds = set(accumulate(map(len, blocks), initial=0))
+        if any(digits.startswith(ref, start) and start + len(ref) in bounds for start in bounds):
+            return True
+    return False
 
 
 def _surface_digits(surface: str) -> str:
@@ -158,9 +176,9 @@ def lcs_length(a: Sequence, b: Sequence) -> int:
 # ---------------------------------------------------------------------------
 
 def _match_digit_run(token: EntityToken, hyp: str, config: ScoringConfig) -> tuple[bool, str]:
-    """Exact maximal-digit-run match after NFKC and separator fusing."""
+    """Exact digit-run match after NFKC, over the blocks of fused runs."""
     ref = _surface_digits(token.surface)
-    if ref and ref in _digit_runs(hyp):
+    if ref and _digit_run_present(ref, hyp):
         return True, f"run {ref} present"
     return False, ""
 

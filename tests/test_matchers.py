@@ -1,4 +1,5 @@
 import logging
+import unicodedata
 
 import pytest
 from hypothesis import given, settings
@@ -52,6 +53,12 @@ class TestMatcherRuleBoundaries:
     def test_digit_run_fuses_spaces_and_commas(self):
         assert score_one(token("98765 43210", "digit_run"), "dial 9876543210").hit
         assert score_one(token("9876543210", "digit_run"), "dial 98,76,54,3210").hit
+        assert score_one(token("9876543210", "digit_run"), "dial 98765 43210").hit
+
+    def test_digit_run_next_to_another_number_hits(self):
+        # each group of a fused run is a block of its own
+        assert score_one(token("98765", "digit_run"), "ఫోన్ 98765 500081").hit
+        assert score_one(token("500081", "digit_run"), "ఫోన్ 98765 500081").hit
 
     def test_digit_run_single_digit_error_misses(self):
         assert not score_one(token("9876543210", "digit_run"), "dial 9876543211").hit
@@ -70,6 +77,14 @@ class TestMatcherRuleBoundaries:
 
     def test_pincode_spoken_with_spaces(self):
         assert score_one(token("500081", "pincode"), "pin 5 0 0 0 8 1 ok").hit
+        assert score_one(token("500081", "pincode"), "5 0 0 0 8 1").hit
+
+    def test_single_digit_groups_are_one_block(self):
+        # spoken digits merge into one block, which never splits again
+        assert not score_one(token("008", "digit_run"), "5 0 0 0 8 1").hit
+
+    def test_pincode_after_a_phone_fragment_hits(self):
+        assert score_one(token("500081", "pincode"), "ఫోన్ 98765 500081").hit
 
     def test_pincode_wrong_digit_misses(self):
         assert not score_one(token("500081", "pincode"), "pin 500082").hit
@@ -330,6 +345,76 @@ def test_scoring_a_row_equals_scoring_each_token_alone(pairs, hyp, mode):
     together = score_utterance(tokens, hyp, config)
     alone = [score_utterance([tok], hyp, config)[0] for tok in tokens]
     assert together == alone
+
+
+def naive_digit_blocks(text):
+    """Every string the digit_run rule offers in text, restated with plain loops.
+
+    Digits (after NFKC) with at most one space or comma between them form a
+    run; the separators cut it into groups; neighbouring one-digit groups are
+    one block; any stretch of consecutive blocks is offered.
+    """
+    text = unicodedata.normalize("NFKC", text)
+    offered = set()
+    i = 0
+    while i < len(text):
+        if text[i] not in "0123456789":
+            i += 1
+            continue
+        groups = [text[i]]
+        i += 1
+        while i < len(text):
+            if text[i] in "0123456789":
+                groups[-1] += text[i]
+                i += 1
+            elif text[i] in " ," and i + 1 < len(text) and text[i + 1] in "0123456789":
+                groups.append("")
+                i += 1
+            else:
+                break
+        blocks = []
+        for n, group in enumerate(groups):
+            if len(group) == 1 and n > 0 and len(groups[n - 1]) == 1:
+                blocks[-1] += group
+            else:
+                blocks.append(group)
+        for start in range(len(blocks)):
+            for end in range(start + 1, len(blocks) + 1):
+                offered.add("".join(blocks[start:end]))
+    return offered
+
+
+DIGIT_GROUPS = st.one_of(
+    st.text("0123456789", min_size=1, max_size=6),
+    st.sampled_from(["5", "0", "98765", "43210", "500081", "５０"]),
+)
+DIGIT_SEPARATORS = st.sampled_from([" ", ",", ", ", "  ", "-", "\u00a0", " ఫోన్ ", "/"])
+
+
+@st.composite
+def digit_texts(draw):
+    groups = draw(st.lists(DIGIT_GROUPS, min_size=1, max_size=8))
+    text = groups[0]
+    for group in groups[1:]:
+        text += draw(DIGIT_SEPARATORS) + group
+    return groups, text
+
+
+@settings(max_examples=300)
+@given(digit_texts(), st.data())
+def test_digit_classes_agree_with_a_naive_restatement(hyp, data):
+    groups, text = hyp
+    start = data.draw(st.integers(0, len(groups) - 1))
+    end = data.draw(st.integers(start + 1, len(groups)))
+    ref = data.draw(st.one_of(
+        st.just(" ".join(groups[start:end])),
+        st.text("0123456789", min_size=1, max_size=8),
+    ))
+    digits = "".join(ch for ch in unicodedata.normalize("NFKC", ref) if ch in "0123456789")
+    expected = digits in naive_digit_blocks(text)
+    assert score_one(token(ref, "digit_run"), text).hit == expected
+    if len(digits) == 6:
+        assert score_one(token(ref, "pincode"), text).hit == expected
 
 
 def test_table_for_merges_once_per_language():

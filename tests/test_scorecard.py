@@ -165,11 +165,11 @@ NORMS = st.sampled_from([DEFAULT_NORM, STRICT_NORM])
 
 @given(holdouts(), GENERATED_CONFIGS, NORMS)
 def test_a_row_scored_against_its_own_text_has_no_errors(rows, config, normalization):
-    # EHR = 1 too once a reference digit run fused into a longer run can hit
     predictions = [Prediction(id=row.id, hypothesis=row.text) for row in rows]
     card, details = score(rows, predictions, config=config, normalization=normalization)
     assert card.wer.distance == card.cer.distance == 0
     assert all(d.wer == d.cer == 0.0 for d in details)
+    assert all(tally.hits == tally.n for tally in card.ehr.per_class.values())  # EHR = 1
 
 
 @given(holdouts(), st.lists(holdout_texts(), min_size=4, max_size=4), GENERATED_CONFIGS, NORMS)

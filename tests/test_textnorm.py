@@ -134,3 +134,10 @@ def test_scoring_forms_equal_their_definitions(text, config):
     first = tokens_for_scoring(text, config)
     assert first == tuple(tokens)
     assert tokens_for_scoring(text, config) == first
+
+
+@given(st.one_of(SCORING_TEXT, EDGY_TEXT, st.text(max_size=80)), st.sampled_from([DEFAULT_NORM, STRICT_NORM]))
+def test_scoring_tokens_are_nfkc_stable(text, config):
+    # the number scan reads scoring tokens as numerals without normalizing them again
+    for tok in tokens_for_scoring(text, config):
+        assert unicodedata.normalize("NFKC", tok) == tok
