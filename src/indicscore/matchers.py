@@ -4,12 +4,11 @@ Each matcher answers one question: does the hypothesis recover this
 reference entity token, under the normalization that is fair for its
 class? The class rules:
 
-  digit_run        the reference digits equal consecutive blocks of one
-                   hypothesis digit run after NFKC. A run fuses across
-                   single spaces and grouping commas and splits into
-                   groups at them; consecutive one-digit groups merge into
-                   one block ("98765 43210" recovers "9876543210" and
-                   "98765"; "5 0 0 0 8 1" recovers "500081" but not "008")
+  digit_run        the reference digits equal consecutive blocks of a
+                   hypothesis digit run (NFKC; fused across a single space
+                   or comma). Spaces part groups, and neighbouring one-digit
+                   groups are one block: "98765 43210" recovers "9876543210"
+                   and "98765", "5 0 0 0 8 1" only "500081"
   pincode          the digit_run rule for a token of exactly 6 digits
   currency_amount  any parsed hypothesis amount within +/-0.5 percent of
                    the reference value (inclusive, exact rationals)
@@ -67,7 +66,6 @@ LCS_THRESHOLD = 0.80
 # A maximal digit run, permitting a single grouping comma or space between
 # digits so that "98765 43210" and "9,876,543,210" fuse to one run.
 _FUSED_RUN_RE = re.compile(r"[0-9](?:[ ,]?[0-9])*")
-_GROUP_SEPARATOR_RE = re.compile(r"[ ,]")
 
 
 class MatchResult(Record):
@@ -123,16 +121,19 @@ class AliasTable:
 def _digit_run_present(ref: str, text: str) -> bool:
     """Whether ``ref`` is the digits of consecutive blocks of one fused run.
 
-    A fused run splits into groups at each space or comma, and consecutive
-    one-digit groups merge into one block: "98765 500081" offers 98765,
-    500081 and both together, while "5 0 0 0 8 1" offers only 500081.
+    A fused run splits into groups at each space, and consecutive one-digit
+    groups merge into one block: "98765 500081" offers 98765, 500081 and
+    both together, while "5 0 0 0 8 1" offers only 500081. A comma groups
+    the digits of one number, so "₹5,00,000" offers only 500000.
     """
     for match in _FUSED_RUN_RE.finditer(nfkc_normalize(text)):
+        groups = match.group().replace(",", "").split(" ")
+        digits = "".join(groups)
+        if ref not in digits:  # the common case, settled without the blocks
+            continue
         blocks: list[str] = []
-        groups = _GROUP_SEPARATOR_RE.split(match.group())
         for single, run in groupby(groups, lambda g: len(g) == 1):
             blocks += ["".join(run)] if single else run
-        digits = "".join(blocks)
         bounds = set(accumulate(map(len, blocks), initial=0))
         if any(digits.startswith(ref, start) and start + len(ref) in bounds for start in bounds):
             return True
@@ -185,10 +186,10 @@ def _match_digit_run(token: EntityToken, hyp: str, config: ScoringConfig) -> tup
 
 def _match_pincode(token: EntityToken, hyp: str, config: ScoringConfig) -> tuple[bool, str]:
     """A digit-run match whose reference must be exactly 6 digits."""
-    digits = len(_surface_digits(token.surface))
-    if digits != 6:
+    found = len(_surface_digits(token.surface))
+    if found != 6:
         raise ReferenceDataError(
-            f"pincode token {token.surface!r} must have exactly 6 digits, found {digits}"
+            f"pincode token {token.surface!r} must have exactly 6 digits, found {found}"
         )
     return _match_digit_run(token, hyp, config)
 

@@ -359,9 +359,7 @@ def parse_amount_text(text: str, table: MultiplierTable) -> Fraction | None:
     """
     # the scoring tokens are casefolded already
     toks = [t for t in tokens_for_scoring(text) if t not in table.currency_markers]
-    if not toks:
-        return None
-    return _parse_words(toks, table)
+    return _parse_words(toks, table)  # no tokens parse as no amount
 
 
 def parse_currency_expression(text: str, table: MultiplierTable) -> list[Fraction]:

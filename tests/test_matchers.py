@@ -83,6 +83,12 @@ class TestMatcherRuleBoundaries:
         # spoken digits merge into one block, which never splits again
         assert not score_one(token("008", "digit_run"), "5 0 0 0 8 1").hit
 
+    def test_part_of_a_comma_grouped_number_misses(self):
+        # commas group the digits of one number; only spaces part groups
+        assert not score_one(token("000", "digit_run"), "₹5,00,000").hit
+        assert not score_one(token("876543", "digit_run"), "total 9,876,543,210 paid").hit
+        assert score_one(token("500000", "digit_run"), "₹5,00,000").hit
+
     def test_pincode_after_a_phone_fragment_hits(self):
         assert score_one(token("500081", "pincode"), "ఫోన్ 98765 500081").hit
 
@@ -351,7 +357,7 @@ def naive_digit_blocks(text):
     """Every string the digit_run rule offers in text, restated with plain loops.
 
     Digits (after NFKC) with at most one space or comma between them form a
-    run; the separators cut it into groups; neighbouring one-digit groups are
+    run; the spaces cut it into groups; neighbouring one-digit groups are
     one block; any stretch of consecutive blocks is offered.
     """
     text = unicodedata.normalize("NFKC", text)
@@ -368,7 +374,8 @@ def naive_digit_blocks(text):
                 groups[-1] += text[i]
                 i += 1
             elif text[i] in " ," and i + 1 < len(text) and text[i + 1] in "0123456789":
-                groups.append("")
+                if text[i] == " ":
+                    groups.append("")
                 i += 1
             else:
                 break
