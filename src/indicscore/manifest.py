@@ -29,7 +29,7 @@ from .corpus import (
     _required_str,
     replacing,
 )
-from .errors import DataError
+from .errors import ConfigurationError, DataError
 from .script import script_block
 from .textnorm import nfkc_normalize, token_count
 
@@ -233,7 +233,11 @@ MAX_TOKENS = 25
 
 @dataclass(frozen=True)
 class ValidationConfig:
-    purity_threshold: float = 0.8
+    purity_threshold: float = 0.8  # the share of letters that must be in script
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.purity_threshold <= 1:  # NaN fails this too
+            raise ConfigurationError(f"purity threshold {self.purity_threshold} is outside [0, 1]")
 
 
 def _merge_spans(spans: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:

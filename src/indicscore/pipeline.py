@@ -10,6 +10,7 @@ from the bucket name).
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -87,8 +88,8 @@ class RouterPolicy:
         for backend, weight in self.weights.items():
             if backend not in SYNTH_SYSTEMS:
                 raise ConfigurationError(f"unknown backend {backend!r} in router weights")
-            if weight < 0:
-                raise ConfigurationError(f"negative weight for backend {backend!r}")
+            if not weight >= 0:  # NaN fails this too
+                raise ConfigurationError(f"weight {weight} for backend {backend!r} is not a number >= 0")
         if abs(sum(self.weights.values()) - 1.0) > 1e-9:
             raise ConfigurationError(f"router weights sum to {sum(self.weights.values())}, not 1")
         for rule in self.overrides:
@@ -153,7 +154,14 @@ def gate_rows(
     to the threshold passes. Rows missing ``cer_against_source`` are an
     error, raised after the last row with every such id; it takes
     precedence over the first status that cannot move, raised likewise.
+    A NaN threshold is an error at once.
     """
+    if math.isnan(threshold):
+        raise ConfigurationError("CER threshold is NaN")
+    return _gate_rows(rows, threshold)
+
+
+def _gate_rows(rows: Iterable[ManifestRow], threshold: float) -> Iterator[tuple[bool, ManifestRow]]:
     missing: list[str] = []
     failure: DataError | None = None
     for row in rows:

@@ -277,8 +277,9 @@ def cmd_pipeline_filter(args: argparse.Namespace) -> int:
 
     def gate(rows, outputs):
         rejected_count = 0
+        gated = pipeline.gate_rows(rows, args.threshold)
         with outputs() as (accepted, rejected):
-            for passed, row in pipeline.gate_rows(rows, args.threshold):
+            for passed, row in gated:
                 if passed:
                     accepted.write(row)
                     continue

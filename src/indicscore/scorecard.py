@@ -73,7 +73,7 @@ def score_predictions(
     matched = [row for row in rows if row.id in by_id]
     if not matched:
         raise DataError("no prediction ids match the holdout rows")
-    unmatched_rows = tuple(row.id for row in rows if row.id not in by_id)
+    unmatched_rows = tuple(sorted(row.id for row in rows if row.id not in by_id))
     row_ids = {row.id for row in rows}
     unmatched_predictions = tuple(sorted(p.id for p in predictions if p.id not in row_ids))
 
@@ -215,6 +215,9 @@ def diagnose(per_holdout_sfr: Mapping[str, float], language: str) -> DiagnosticV
         raise ConfigurationError(
             f"diagnostic needs at least 2 holdouts, got {len(per_holdout_sfr)}"
         )
+    for name, value in per_holdout_sfr.items():
+        if not 0 <= value <= 1:  # NaN fails this too
+            raise ConfigurationError(f"SFR of holdout {name!r} is {value}, outside [0, 1]")
     below = sum(1 for value in per_holdout_sfr.values() if value < SFR_DIAGNOSTIC_THRESHOLD)
     verdict = VERDICT_APPLY if below >= SFR_DIAGNOSTIC_MIN_BELOW else VERDICT_CONTRAINDICATED
     return DiagnosticVerdict(language=language, per_holdout_sfr=dict(per_holdout_sfr), verdict=verdict)

@@ -331,6 +331,15 @@ def test_diagnose_bad_pair_exits_1(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("values", [("a=nan", "b=nan"), ("a=-3", "b=0.5"), ("a=1.2", "b=0.5")])
+def test_diagnose_sfr_outside_the_unit_interval_exits_1(values, capsys):
+    argv = [arg for value in values for arg in ("--sfr", value)]
+    assert run("diagnose", "--lang", "te", *argv) == 1
+    captured = capsys.readouterr()
+    assert "configuration error: SFR of holdout 'a'" in captured.err
+    assert captured.out == ""
+
+
 def test_diagnose_records_format(capsys):
     code = run("diagnose", "--lang", "hi", "--sfr", "a=0.983", "--sfr", "b=0.993", "--format", "records")
     assert code == 0
@@ -636,6 +645,36 @@ def test_pipeline_filter_rejects_nan_cer_exit_2(tmp_path, capsys):
     assert run("pipeline", "filter", "--manifest", str(manifest), "--out", str(out)) == 2
     captured = capsys.readouterr()
     assert "line 1: cer_against_source must be finite and not negative" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_pipeline_filter_nan_threshold_exits_1(tmp_path, jsonl_writer, capsys):
+    row = {"id": "s1", "text": "a b c", "language": "te", "corpus_class": "digits",
+           "status": "synthesized", "cer_against_source": 0.9}
+    manifest = jsonl_writer("synth.jsonl", [row])
+    out = tmp_path / "accepted.jsonl"
+    assert run("pipeline", "filter", "--manifest", manifest, "--out", str(out), "--threshold", "nan") == 1
+    captured = capsys.readouterr()
+    assert "configuration error: CER threshold is NaN" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threshold", ["nan", "-0.1", "1.5"])
+def test_pipeline_validate_purity_threshold_outside_the_unit_interval_exits_1(threshold, manifest_path, capsys):
+    assert run("pipeline", "validate", "--manifest", manifest_path, "--purity-threshold", threshold) == 1
+    captured = capsys.readouterr()
+    assert "configuration error: purity threshold" in captured.err
+    assert captured.out == ""
+
+
+def test_pipeline_route_nan_weight_exits_1(tmp_path, manifest_path, capsys):
+    out = tmp_path / "routed.jsonl"
+    weights = "praxy=nan,elevenlabs=0.5,cartesia=0.5"
+    assert run("pipeline", "route", "--manifest", manifest_path, "--out", str(out), "--weights", weights) == 1
+    captured = capsys.readouterr()
+    assert "configuration error: weight nan for backend 'praxy'" in captured.err
     assert captured.out == ""
     assert not out.exists()
 

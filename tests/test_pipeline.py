@@ -72,6 +72,8 @@ def test_policy_rejects_unknown_backend():
 def test_policy_rejects_negative_weight():
     with pytest.raises(ConfigurationError):
         RouterPolicy(weights={"praxy": 1.2, "cartesia": -0.2})
+    with pytest.raises(ConfigurationError):
+        RouterPolicy(weights={"praxy": float("nan"), "elevenlabs": 0.5, "cartesia": 0.5})
 
 
 def test_policy_rejects_bad_sum():

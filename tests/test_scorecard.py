@@ -182,6 +182,32 @@ def test_pooled_error_rates_are_the_sums_of_the_rows(rows, hypotheses, config, n
         assert pooled.reference_length == sum(r.reference_length for r in per_row)
 
 
+def test_unmatched_ids_do_not_depend_on_row_order():
+    rows = [HoldoutRow(id=i, text="నమస్కారం", language="te") for i in ("u3", "u1", "u2")]
+    predictions = [Prediction(id="u1", hypothesis="నమస్కారం")]
+    for ordered in (rows, rows[::-1]):
+        card, _ = score(ordered, predictions)
+        assert card.unmatched_row_ids == ("u2", "u3")
+
+
+@given(holdouts(), st.data(), GENERATED_CONFIGS)
+def test_scorecard_record_does_not_depend_on_row_order(rows, data, config):
+    # predictions for some rows, plus some for ids the holdout lacks
+    ids = [row.id for row in rows] + ["x1", "x2"]
+    chosen = data.draw(st.lists(st.sampled_from(ids), min_size=1, unique=True))
+    if not any(i in chosen for i in ids[:-2]):
+        chosen.append(rows[0].id)
+    texts = {row.id: row.text for row in rows}
+    predictions = [Prediction(id=i, hypothesis=texts.get(i, "x")[::-1]) for i in chosen]
+    card, details = score(rows, predictions, config=config)
+    shuffled_rows = data.draw(st.permutations(rows))
+    shuffled_card, shuffled_details = score(shuffled_rows, data.draw(st.permutations(predictions)), config=config)
+    assert scorecard_record(shuffled_card) == scorecard_record(card)
+    # the detail file keeps holdout order
+    assert [d.id for d in shuffled_details] == [row.id for row in shuffled_rows if row.id in chosen]
+    assert sorted(shuffled_details, key=lambda d: d.id) == sorted(details, key=lambda d: d.id)
+
+
 def test_normalization_config_respected():
     rows = [HoldoutRow(id="a", text="Paytm వాడు", language="te")]
     predictions = [Prediction(id="a", hypothesis="paytm వాడు")]
