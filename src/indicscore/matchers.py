@@ -129,8 +129,6 @@ def _digit_run_present(ref: str, text: str) -> bool:
     for match in _FUSED_RUN_RE.finditer(nfkc_normalize(text)):
         groups = match.group().replace(",", "").split(" ")
         digits = "".join(groups)
-        if ref not in digits:  # the common case, settled without the blocks
-            continue
         blocks: list[str] = []
         for single, run in groupby(groups, lambda g: len(g) == 1):
             blocks += ["".join(run)] if single else run
@@ -176,22 +174,23 @@ def lcs_length(a: Sequence, b: Sequence) -> int:
 # Matchers: each takes (token, hypothesis text, config) and returns (hit, detail)
 # ---------------------------------------------------------------------------
 
+def _run_verdict(ref: str, hyp: str) -> tuple[bool, str]:
+    return (True, f"run {ref} present") if ref and _digit_run_present(ref, hyp) else (False, "")
+
+
 def _match_digit_run(token: EntityToken, hyp: str, config: ScoringConfig) -> tuple[bool, str]:
     """Exact digit-run match after NFKC, over the blocks of fused runs."""
-    ref = _surface_digits(token.surface)
-    if ref and _digit_run_present(ref, hyp):
-        return True, f"run {ref} present"
-    return False, ""
+    return _run_verdict(_surface_digits(token.surface), hyp)
 
 
 def _match_pincode(token: EntityToken, hyp: str, config: ScoringConfig) -> tuple[bool, str]:
     """A digit-run match whose reference must be exactly 6 digits."""
-    found = len(_surface_digits(token.surface))
-    if found != 6:
+    ref = _surface_digits(token.surface)
+    if len(ref) != 6:
         raise ReferenceDataError(
-            f"pincode token {token.surface!r} must have exactly 6 digits, found {found}"
+            f"pincode token {token.surface!r} must have exactly 6 digits, found {len(ref)}"
         )
-    return _match_digit_run(token, hyp, config)
+    return _run_verdict(ref, hyp)
 
 
 def _match_currency(token: EntityToken, hyp: str, config: ScoringConfig) -> tuple[bool, str]:
