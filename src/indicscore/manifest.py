@@ -30,6 +30,7 @@ from .corpus import (
     replacing,
 )
 from .errors import ConfigurationError, DataError
+from .record import Record
 from .script import script_block
 from .textnorm import nfkc_normalize, token_count
 
@@ -220,8 +221,7 @@ def save_manifest(path: str | Path, rows: Iterable[ManifestRow]) -> None:
 # Row validation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     kind: str  # "length" | "entity_span" | "script_purity"
     detail: str
 
@@ -231,8 +231,7 @@ MIN_TOKENS = 3
 MAX_TOKENS = 25
 
 
-@dataclass(frozen=True)
-class ValidationConfig:
+class ValidationConfig(Record):
     purity_threshold: float = 0.8  # the share of letters that must be in script
 
     def __post_init__(self) -> None:

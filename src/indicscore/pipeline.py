@@ -13,12 +13,13 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .corpus import SYNTH_SYSTEMS
 from .errors import ConfigurationError, DataError
 from .manifest import ManifestRow, _evolve, with_status
+from .record import Record
 
 # CPython's own SHA-256, as random.py takes its SHA-512: importing hashlib
 # would map OpenSSL's libcrypto into every pipeline verb. FIPS 180-4 fixes
@@ -33,15 +34,15 @@ except ImportError:
 
 HELDOUT_SYSTEM = "cartesia"
 
-DEFAULT_WEIGHTS: Mapping[str, float] = {
+# read-only, since every default RouterPolicy shares it
+DEFAULT_WEIGHTS: Mapping[str, float] = MappingProxyType({
     "praxy": 0.60,
     "elevenlabs": 0.20,
     "cartesia": 0.20,
-}
+})
 
 
-@dataclass(frozen=True)
-class OverrideRule:
+class OverrideRule(Record):
     """One ordered routing override.
 
     With ``bucket`` unset the rule routes matching rows directly, before
@@ -69,8 +70,7 @@ DEFAULT_OVERRIDES: tuple[OverrideRule, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class RouterPolicy:
+class RouterPolicy(Record):
     """Backend weights plus ordered overrides and the draw seed.
 
     The weights are read once, here, into the draw table ``_buckets``:
@@ -78,7 +78,7 @@ class RouterPolicy:
     order.
     """
 
-    weights: Mapping[str, float] = field(default_factory=lambda: dict(DEFAULT_WEIGHTS))
+    weights: Mapping[str, float] = DEFAULT_WEIGHTS
     overrides: tuple[OverrideRule, ...] = DEFAULT_OVERRIDES
     seed: int = 0
 
@@ -139,8 +139,7 @@ def route_rows(rows: Iterable[ManifestRow], policy: RouterPolicy = RouterPolicy(
 # CER gate
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FilterResult:
+class FilterResult(Record):
     accepted: tuple[ManifestRow, ...]
     rejected: tuple[ManifestRow, ...]
 
@@ -197,8 +196,7 @@ def apply_cer_filter(rows: Iterable[ManifestRow], threshold: float = 0.5) -> Fil
 # Held-out split
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SplitResult:
+class SplitResult(Record):
     train: tuple[ManifestRow, ...]
     heldout: tuple[ManifestRow, ...]
 

@@ -3,9 +3,8 @@ and rewrite-digits.
 
 `cli` builds their parser and imports this module only when a pipeline step
 runs, so score, diagnose and compare never compile it. A step streams its
-manifest from file to file (`manifest.read_manifest`, `manifest_writers`),
-and a large manifest is read in byte ranges, one forked process per range
-(`_run`).
+manifest from file to file (`_run`), and a large manifest is read in byte
+ranges, one forked process per range.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from .manifest import (
     _evolve,
     _read_manifest,
     manifest_writers,
-    read_manifest,
     validate_corpus_row,
 )
 from .textnorm import format_value
@@ -40,24 +38,6 @@ def _parse_weights(raw: str) -> dict[str, float]:
         except ValueError:
             raise ConfigurationError(f"--weights: {raw!r} is not a number") from None
     return weights
-
-
-@contextlib.contextmanager
-def _reading(manifest: str):
-    """Yield the rows of ``manifest``.
-
-    When the block raises, the rest of the manifest is still read, so that
-    a malformed manifest is the error reported, as it was when a verb
-    loaded the whole file before acting on any row. A verb checks its
-    options inside this block but before it opens its outputs.
-    """
-    rows = read_manifest(manifest)
-    try:
-        yield rows
-    except (ValueError, OSError):  # DataError and ConfigurationError are ValueErrors
-        for _ in rows:
-            pass
-        raise
 
 
 # A pipeline verb reads its manifest in byte ranges of at least this many
@@ -132,11 +112,11 @@ def _merge(a, b):
 def _run(manifest: str, body, *paths: str | None):
     """Run ``body(rows, outputs)`` over the rows of ``manifest``; return its summary.
 
-    ``outputs()`` opens a ManifestWriter per path (None for a path that is
-    None), and the outputs replace their paths only when the whole run
-    succeeds. The body checks its options, opens its outputs, writes its
-    rows and returns a summary, from which the verb prints: numbers, lists,
-    dicts and tuples of them, which ``marshal`` carries.
+    ``outputs()`` opens and returns a ManifestWriter per path (None for a
+    path that is None), and the outputs replace their paths only when the
+    whole run succeeds. The body checks its options, opens its outputs,
+    writes its rows and returns a summary, from which the verb prints:
+    numbers, lists, dicts and tuples of them, which ``marshal`` carries.
 
     A manifest of two or more byte ranges (``_byte_ranges``) is run in a
     process per range, its summaries merged and its outputs joined in range
@@ -151,8 +131,8 @@ def _run(manifest: str, body, *paths: str | None):
             return _run_in_parts(manifest, body, paths, ranges)
         except Exception:  # whatever it was, the run in one process meets it again and reports it
             pass
-    with _reading(manifest) as rows:
-        return body(rows, lambda: manifest_writers(*paths))
+    with contextlib.ExitStack() as stack:
+        return _run_part(manifest, body, paths, 0, None, stack)[0]
 
 
 def _run_in_parts(manifest: str, body, paths: tuple, ranges: list):
@@ -198,15 +178,23 @@ def _run_in_parts(manifest: str, body, paths: tuple, ranges: list):
 def _run_part(manifest: str, body, targets, start: int, stop: int | None, stack: contextlib.ExitStack):
     """``body`` over the manifest's bytes [start, stop), its outputs opened on
     ``targets`` (paths or file descriptors) and left open in ``stack``;
-    returns the summary, the ids read and the writers."""
+    returns the summary, the ids read and the writers. When the body raises,
+    the rest of the range is still read, so that a malformed manifest is the
+    error reported."""
     seen: dict[str, int] = {}
     writers: list = []
 
     def outputs():
         writers.extend(stack.enter_context(manifest_writers(*targets)))
-        return contextlib.nullcontext(writers)
+        return writers
 
-    summary = body(_read_manifest(Path(manifest), seen, start, stop), outputs)
+    rows = _read_manifest(Path(manifest), seen, start, stop)
+    try:
+        summary = body(rows, outputs)
+    except (ValueError, OSError):  # DataError and ConfigurationError are ValueErrors
+        for _ in rows:
+            pass
+        raise
     return summary, seen, writers
 
 
@@ -261,11 +249,11 @@ def cmd_pipeline_route(args: argparse.Namespace) -> int:
             )
         policy = pipeline.RouterPolicy(**policy_kwargs)
         counts: Counter = Counter()
-        with outputs() as (out,):
-            for row in rows:
-                routed = pipeline.route_row(row, policy)
-                out.write(routed)
-                counts[pipeline.synth_key(routed)] += 1
+        (out,) = outputs()
+        for row in rows:
+            routed = pipeline.route_row(row, policy)
+            out.write(routed)
+            counts[pipeline.synth_key(routed)] += 1
         return dict(counts)
 
     print(pipeline.render_distribution(_run(args.manifest, route, args.out)))
@@ -278,14 +266,14 @@ def cmd_pipeline_filter(args: argparse.Namespace) -> int:
     def gate(rows, outputs):
         rejected_count = 0
         gated = pipeline.gate_rows(rows, args.threshold)
-        with outputs() as (accepted, rejected):
-            for passed, row in gated:
-                if passed:
-                    accepted.write(row)
-                    continue
-                rejected_count += 1
-                if rejected is not None:
-                    rejected.write(row)
+        accepted, rejected = outputs()
+        for passed, row in gated:
+            if passed:
+                accepted.write(row)
+                continue
+            rejected_count += 1
+            if rejected is not None:
+                rejected.write(row)
         return accepted.count, rejected_count
 
     accepted_count, rejected_count = _run(args.manifest, gate, args.out, args.rejected)
@@ -301,10 +289,10 @@ def cmd_pipeline_split(args: argparse.Namespace) -> int:
 
     def split(rows, outputs):
         counts: Counter = Counter()
-        with outputs() as (train, heldout):
-            for held, row in pipeline.split_rows(rows):
-                (heldout if held else train).write(row)
-                counts[pipeline.synth_key(row)] += 1
+        train, heldout = outputs()
+        for held, row in pipeline.split_rows(rows):
+            (heldout if held else train).write(row)
+            counts[pipeline.synth_key(row)] += 1
         return train.count, heldout.count, dict(counts)
 
     # an empty side is warned of once, from the counts of the whole manifest
@@ -331,12 +319,12 @@ def cmd_pipeline_balance(args: argparse.Namespace) -> int:
     def copy(rows, outputs):
         kept: Counter = Counter()
         total = 0
-        with outputs() as (out,):
-            for row in rows:
-                total += 1
-                if row.id in selected:
-                    out.write(row)
-                    kept[row.corpus_class] += 1
+        (out,) = outputs()
+        for row in rows:
+            total += 1
+            if row.id in selected:
+                out.write(row)
+                kept[row.corpus_class] += 1
         return out.count, total, dict(kept)
 
     count, total, kept = _run(args.manifest, copy, args.out)
@@ -380,16 +368,16 @@ def cmd_pipeline_rewrite_digits(args: argparse.Namespace) -> int:
 
     def rewrite(rows, outputs):
         changed = 0
-        with outputs() as (out,):
-            for row in rows:
-                table = load_language_table(row.language)
-                try:
-                    new_text = rewrite_digit_runs(row.text, table, args.mode)
-                except DataError as exc:
-                    raise DataError(f"row {row.id!r}: {exc}") from exc
-                if new_text != row.text:
-                    changed += 1
-                out.write(_evolve(row, text=new_text))
+        (out,) = outputs()
+        for row in rows:
+            table = load_language_table(row.language)
+            try:
+                new_text = rewrite_digit_runs(row.text, table, args.mode)
+            except DataError as exc:
+                raise DataError(f"row {row.id!r}: {exc}") from exc
+            if new_text != row.text:
+                changed += 1
+            out.write(_evolve(row, text=new_text))
         return changed, out.count
 
     changed, count = _run(args.manifest, rewrite, args.out)
