@@ -19,13 +19,17 @@ class? The class rules:
                    sequences >= 0.80 of the reference length
   house_or_plot    casefolded whole-token sequence match
 
+A decimal digit of any script reads as its ASCII digit, in the hypothesis
+and in every surface ("५०००८१" is "500081"): `score_utterance` folds both
+with `textnorm.fold_digits` before a matcher runs.
+
 Currency has two modes. In both, a verbatim whole-token occurrence of the
 reference surface counts as a hit, and amounts are compared numerically
-when the reference surface itself contains Latin digits ("5 lakh",
-"₹50,000"). Bidirectional mode additionally compares numerically when the
-reference is a pure word sequence ("ఇరవై లక్ష" against "2000000"); strict
-mode scores such pairs by surface only, so strict hits are always a
-subset of bidirectional hits.
+when the reference surface itself contains digits ("5 lakh", "₹50,000").
+Bidirectional mode additionally compares numerically when the reference
+is a pure word sequence ("ఇరవై లక్ష" against "2000000"); strict mode
+scores such pairs by surface only, so strict hits are always a subset of
+bidirectional hits.
 
 `score_utterance` is the one entry point. It looks each token's matcher
 up in a table keyed by class and records the (hit, detail) verdict the
@@ -51,7 +55,7 @@ from .distance import _position_masks
 from .errors import ConfigurationError, ReferenceDataError, read_utf8
 from .numbers import MultiplierTable, load_language_table, parse_amount_text, parse_currency_expression
 from .record import Record
-from .textnorm import CURRENCY_MODES, casefold_normalize, nfkc_normalize, tokens_for_scoring
+from .textnorm import CURRENCY_MODES, casefold_normalize, fold_digits, nfkc_normalize, tokens_for_scoring
 
 # Relative tolerance for currency comparison: half a percent, inclusive.
 CURRENCY_TOLERANCE = Fraction(1, 200)
@@ -205,7 +209,7 @@ def _match_currency(token: EntityToken, hyp: str, config: ScoringConfig) -> tupl
         return True, "surface recovered verbatim"
 
     if config.currency_mode == "strict" and not _surface_digits(token.surface):
-        # The surface offers no Latin digits to compare, and strict mode
+        # The surface offers no digits to compare, and strict mode
         # does not trust a word-level value for the reference.
         return False, "no digit anchor in strict mode"
 
@@ -335,12 +339,18 @@ def score_utterance(
 
     This is the one entry point to the matchers. The hypothesis is
     normalized once, however many tokens it is matched against: its
-    scoring tokens come from the `textnorm` memo that WER reads too.
+    scoring tokens come from the `textnorm` memo that WER reads too. The
+    digits of every script in the hypothesis and in each token's surface
+    are read as ASCII digits; each result keeps the token's own surface.
     """
     config = config or ScoringConfig()
+    hypothesis = fold_digits(hypothesis)
     results = []
     for token in tokens:
-        hit, detail = _MATCHERS[token.matcher_class](token, hypothesis, config)
+        read = token
+        if (surface := fold_digits(token.surface)) != token.surface:
+            read = EntityToken(surface, token.matcher_class, token.language)
+        hit, detail = _MATCHERS[token.matcher_class](read, hypothesis, config)
         results.append(MatchResult(token.surface, token.matcher_class, hit, detail))
     return results
 

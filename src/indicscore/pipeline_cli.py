@@ -351,9 +351,10 @@ def cmd_pipeline_validate(args: argparse.Namespace) -> int:
 
     clean, total, found = _run(args.manifest, validate)
     if args.format == "table":
-        for row_id, kind, detail in found:
-            print(f"{row_id}: {kind}: {detail}")
-        print(f"{clean} of {total} rows clean, {len(found)} violations")
+        # one write: each print to an unbuffered stdout is a write of its own
+        lines = [f"{row_id}: {kind}: {detail}\n" for row_id, kind, detail in found]
+        lines.append(f"{clean} of {total} rows clean, {len(found)} violations\n")
+        sys.stdout.write("".join(lines))
         return EXIT_OK
     records = [{"id": row_id, "kind": kind, "detail": detail} for row_id, kind, detail in found]
     if args.format == "records":

@@ -60,10 +60,15 @@ def score_predictions(
 
     Rows without a prediction and predictions without a row are reported
     on the scorecard, not scored. At least one pair must match. A holdout
-    mixing languages is an error.
+    mixing languages is an error, and so is a ``config`` for another
+    language: both name the holdout's.
     """
     if config is None:
         config = ScoringConfig(language=language)
+    elif config.language != language:
+        raise ConfigurationError(
+            f"scoring config is for language {config.language!r}, the holdout for {language!r}"
+        )
     mixed = sorted({row.language for row in rows if row.language is not None} - {language})
     if mixed:
         raise DataError(

@@ -9,6 +9,7 @@ verb shares: the mode vocabularies and the fixed-decimal number rendering.
 
 from __future__ import annotations
 
+import re
 import unicodedata
 from functools import lru_cache
 
@@ -40,6 +41,24 @@ class _EdgeChars(dict):
 
 
 _IS_EDGE = _EdgeChars()
+
+
+# A decimal digit (Unicode category Nd, which re's \d matches) other than 0-9.
+_NON_ASCII_DIGIT = re.compile(r"[^\D0-9]")
+
+
+def _ascii_digit(match: re.Match) -> str:
+    return str(unicodedata.decimal(match.group()))
+
+
+def fold_digits(text: str) -> str:
+    """Every decimal digit of every script as its ASCII digit; ``text``
+    itself when it has none to fold.
+
+    "पिन ५०००८१" -> "पिन 500081". NFKC folds fullwidth digits but leaves
+    Devanagari, Telugu and Tamil digits alone (Unicode Standard Annex #15).
+    """
+    return text if text.isascii() else _NON_ASCII_DIGIT.sub(_ascii_digit, text)
 
 
 def _strip_edges(token: str) -> str:

@@ -424,6 +424,49 @@ def test_digit_classes_agree_with_a_naive_restatement(hyp, data):
         assert score_one(token(ref, "pincode"), text).hit == expected
 
 
+# The zero of each script whose digits a hypothesis may carry; NFKC folds
+# only the fullwidth ones.
+DIGIT_ZEROS = {"devanagari": 0x0966, "telugu": 0x0C66, "tamil": 0x0BE6, "fullwidth": 0xFF10}
+
+
+def in_script(text, zero):
+    return text.translate({ord("0") + d: zero + d for d in range(10)})
+
+
+@pytest.mark.parametrize("mode", ["strict", "bidirectional"])
+@pytest.mark.parametrize("ref, cls, hyp", [
+    ("500081", "pincode", "पिन ५०००८१"),
+    ("500081", "pincode", "పిన్ ౫౦౦౦౮౧"),
+    ("500081", "pincode", "பின் ௫௦௦௦௮௧"),
+    ("500081", "pincode", "pin ５０００８１"),
+    ("9876543210", "digit_run", "९८७६५ ४३२१०"),
+    ("₹50,000", "currency_amount", "₹५०,०००"),
+    ("₹५०,०००", "currency_amount", "₹50,000"),
+    ("₹५०,०००", "currency_amount", "fifty thousand rupees"),
+    ("౫౪౨౩౫", "spelled_digit", "five four two three five"),
+    ("८-२-२९३/८२", "house_or_plot", "flat 8-2-293/82"),
+])
+def test_digits_of_any_script_hit(ref, cls, hyp, mode):
+    result = score_one(token(ref, cls), hyp, currency_mode=mode)
+    assert result.hit and result.surface == ref  # the result keeps the surface as written
+
+
+DIGIT_CLASS_SURFACES = [pair for pair in CLASS_SURFACES if pair[0] not in ("brand", "proper_noun")]
+
+
+@given(
+    st.sampled_from(DIGIT_CLASS_SURFACES),
+    st.one_of(hypotheses, digit_texts().map(lambda drawn: drawn[1])),
+    st.sampled_from(sorted(DIGIT_ZEROS)),
+    st.sampled_from(["strict", "bidirectional"]),
+)
+def test_the_script_of_the_hypothesis_digits_changes_no_digit_class_hit(pair, hyp, script, mode):
+    tok = token(pair[1], pair[0])
+    config = ScoringConfig(language="te", currency_mode=mode)
+    ascii_hit = score_utterance([tok], hyp, config)[0].hit
+    assert score_utterance([tok], in_script(hyp, DIGIT_ZEROS[script]), config)[0].hit == ascii_hit
+
+
 def test_table_for_merges_once_per_language():
     config = ScoringConfig(language="te")
     first = config.table_for(None)

@@ -1,11 +1,14 @@
 """`record.Record` against the frozen dataclass it stands in for."""
 
+import ast
 import copy
 import dataclasses
 import pickle
+from pathlib import Path
 
 import pytest
 
+import indicscore
 from indicscore.corpus import EntityToken, HoldoutRow
 from indicscore.record import Record
 
@@ -68,3 +71,27 @@ def test_post_init_checks_each_built_record():
     with pytest.raises(ValueError, match="unknown matcher class"):
         EntityToken("500081", "postcode")
     assert HoldoutRow("u1", "text").entity_tokens == ()
+
+
+def module_level_imports(path):
+    """The modules ``path`` imports outside its functions and classes."""
+    nodes = list(ast.parse(path.read_text(encoding="utf-8")).body)
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node.module or ""
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            nodes.extend(ast.iter_child_nodes(node))
+
+
+def test_only_the_manifest_module_imports_dataclasses():
+    # Every record is a Record but ManifestRow, which the benchmark's replay
+    # copies with dataclasses.replace; record._frozen imports it on its error path.
+    importers = [
+        path.name
+        for path in sorted(Path(indicscore.__file__).parent.glob("*.py"))
+        if any(name.split(".")[0] == "dataclasses" for name in module_level_imports(path))
+    ]
+    assert importers == ["manifest.py"]

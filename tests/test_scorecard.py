@@ -225,6 +225,14 @@ def test_currency_mode_recorded():
     assert card.currency_mode == "bidirectional"
 
 
+def test_a_config_for_another_language_is_a_configuration_error():
+    # SFR would be scored against one language and number words read in another
+    with pytest.raises(ConfigurationError, match="'hi', the holdout for 'te'"):
+        score(config=ScoringConfig(language="hi"))
+    with pytest.raises(ConfigurationError):
+        score(config=ScoringConfig())  # the default config is for "en"
+
+
 def test_scorecard_record_shape():
     card, _ = score(system="good", holdout_name="argmax")
     record = scorecard_record(card)

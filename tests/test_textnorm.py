@@ -11,6 +11,7 @@ from indicscore.textnorm import (
     NormConfig,
     casefold_normalize,
     collapse_whitespace,
+    fold_digits,
     norm_config_from_label,
     nfkc_normalize,
     normalize_for_scoring,
@@ -141,3 +142,23 @@ def test_scoring_tokens_are_nfkc_stable(text, config):
     # the number scan reads scoring tokens as numerals without normalizing them again
     for tok in tokens_for_scoring(text, config):
         assert unicodedata.normalize("NFKC", tok) == tok
+
+
+def test_fold_digits_reads_indic_and_fullwidth_digits_as_ascii():
+    assert fold_digits("पिन ५०००८१") == "पिन 500081"
+    assert fold_digits("పిన్ ౫౦౦౦౮౧") == "పిన్ 500081"
+    assert fold_digits("பின் ௫௦௦௦௮௧") == "பின் 500081"
+    assert fold_digits("５０") == "50"
+    assert fold_digits("x² ½ ௰") == "x² ½ ௰"  # numbers that are not decimal digits (No) stay
+    ascii_text = "pin 500081"
+    assert fold_digits(ascii_text) is ascii_text
+
+
+@given(st.characters(categories=["Nd"]))
+def test_fold_digits_maps_every_decimal_digit_to_its_value(char):
+    assert fold_digits(char) == str(unicodedata.decimal(char))
+
+
+@given(st.text(st.characters(exclude_categories=["Nd"])))
+def test_fold_digits_leaves_everything_else(text):
+    assert fold_digits(text) == text
