@@ -21,7 +21,7 @@ class? The class rules:
 
 A decimal digit of any script reads as its ASCII digit, in the hypothesis
 and in every surface ("५०००८१" is "500081"): `score_utterance` folds both
-with `textnorm.fold_digits` before a matcher runs.
+with `textnorm.fold_digits`, and an error quotes the surface as written.
 
 Currency has two modes. In both, a verbatim whole-token occurrence of the
 reference surface counts as a hit, and amounts are compared numerically
@@ -31,14 +31,14 @@ is a pure word sequence ("ఇరవై లక్ష" against "2000000"); strict 
 scores such pairs by surface only, so strict hits are always a subset of
 bidirectional hits.
 
-`score_utterance` is the one entry point. It looks each token's matcher
-up in a table keyed by class and records the (hit, detail) verdict the
-matcher returns as the token's `MatchResult`. The matchers read
-casefolded tokens of the hypothesis, of the entity surfaces and of the
-brand aliases through `textnorm.tokens_for_scoring`, whose memo of
-recent texts means each is normalized once however many tokens read it.
-The Jaccard and LCS thresholds and the window slop are fixed module
-constants.
+`score_utterance` is the one entry point. It prepares the hypothesis once
+per row, looks each token's matcher up in a table keyed by class and
+records the (hit, detail) verdict the matcher returns as the token's
+`MatchResult`. The matchers read casefolded tokens of the hypothesis, of
+the entity surfaces and of the brand aliases through
+`textnorm.tokens_for_scoring`, whose memo of recent texts means each is
+normalized once however many tokens read it. The Jaccard and LCS
+thresholds and the window slop are fixed module constants.
 """
 
 from __future__ import annotations
@@ -130,7 +130,7 @@ def _digit_run_present(ref: str, text: str) -> bool:
     both together, while "5 0 0 0 8 1" offers only 500081. A comma groups
     the digits of one number, so "₹5,00,000" offers only 500000.
     """
-    for match in _FUSED_RUN_RE.finditer(nfkc_normalize(text)):
+    for match in _FUSED_RUN_RE.finditer(text):
         groups = match.group().replace(",", "").split(" ")
         digits = "".join(groups)
         blocks: list[str] = []
@@ -175,21 +175,22 @@ def lcs_length(a: Sequence, b: Sequence) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Matchers: each takes (token, hypothesis text, config) and returns (hit, detail)
+# Matchers: each takes (token, folded surface, hypothesis, config) and returns
+# (hit, detail), reading ``surface`` and quoting ``token.surface`` in an error
 # ---------------------------------------------------------------------------
 
 def _run_verdict(ref: str, hyp: str) -> tuple[bool, str]:
     return (True, f"run {ref} present") if ref and _digit_run_present(ref, hyp) else (False, "")
 
 
-def _match_digit_run(token: EntityToken, hyp: str, config: ScoringConfig) -> tuple[bool, str]:
+def _match_digit_run(token: EntityToken, surface: str, hyp: str, config: ScoringConfig) -> tuple[bool, str]:
     """Exact digit-run match after NFKC, over the blocks of fused runs."""
-    return _run_verdict(_surface_digits(token.surface), hyp)
+    return _run_verdict(_surface_digits(surface), hyp)
 
 
-def _match_pincode(token: EntityToken, hyp: str, config: ScoringConfig) -> tuple[bool, str]:
+def _match_pincode(token: EntityToken, surface: str, hyp: str, config: ScoringConfig) -> tuple[bool, str]:
     """A digit-run match whose reference must be exactly 6 digits."""
-    ref = _surface_digits(token.surface)
+    ref = _surface_digits(surface)
     if len(ref) != 6:
         raise ReferenceDataError(
             f"pincode token {token.surface!r} must have exactly 6 digits, found {len(ref)}"
@@ -197,18 +198,18 @@ def _match_pincode(token: EntityToken, hyp: str, config: ScoringConfig) -> tuple
     return _run_verdict(ref, hyp)
 
 
-def _match_currency(token: EntityToken, hyp: str, config: ScoringConfig) -> tuple[bool, str]:
+def _match_currency(token: EntityToken, surface: str, hyp: str, config: ScoringConfig) -> tuple[bool, str]:
     """Numeric currency match within +/-0.5 percent of the reference value."""
     table = config.table_for(token.language)
-    v_ref = parse_amount_text(token.surface, table)
+    v_ref = parse_amount_text(surface, table)
     if v_ref is None:
         raise ReferenceDataError(f"currency token {token.surface!r} does not parse as an amount")
 
     # Verbatim recovery of the reference surface always counts.
-    if _contains_token_seq(tokens_for_scoring(hyp), tokens_for_scoring(token.surface)):
+    if _contains_token_seq(tokens_for_scoring(hyp), tokens_for_scoring(surface)):
         return True, "surface recovered verbatim"
 
-    if config.currency_mode == "strict" and not _surface_digits(token.surface):
+    if config.currency_mode == "strict" and not _surface_digits(surface):
         # The surface offers no digits to compare, and strict mode
         # does not trust a word-level value for the reference.
         return False, "no digit anchor in strict mode"
@@ -220,11 +221,11 @@ def _match_currency(token: EntityToken, hyp: str, config: ScoringConfig) -> tupl
     return False, ""
 
 
-def _match_brand(token: EntityToken, hyp: str, config: ScoringConfig) -> tuple[bool, str]:
+def _match_brand(token: EntityToken, surface: str, hyp: str, config: ScoringConfig) -> tuple[bool, str]:
     """Casefolded whole-token alias match ("Paytm" != "paytime")."""
-    aliases = config.aliases.lookup(token.surface) if config.aliases is not None else None
+    aliases = config.aliases.lookup(surface) if config.aliases is not None else None
     if aliases is None:  # the CLI warns of each such surface once, with its count
-        aliases = (casefold_normalize(token.surface),)
+        aliases = (casefold_normalize(surface),)
     hyp_tokens = tokens_for_scoring(hyp)
     for alias in aliases:
         if _contains_token_seq(hyp_tokens, tokens_for_scoring(alias)):
@@ -232,9 +233,9 @@ def _match_brand(token: EntityToken, hyp: str, config: ScoringConfig) -> tuple[b
     return False, ""
 
 
-def _match_proper_noun(token: EntityToken, hyp: str, config: ScoringConfig) -> tuple[bool, str]:
+def _match_proper_noun(token: EntityToken, surface: str, hyp: str, config: ScoringConfig) -> tuple[bool, str]:
     """Token-set Jaccard >= JACCARD_THRESHOLD over k-1/k/k+1 hypothesis windows."""
-    ref_set = set(tokens_for_scoring(token.surface))
+    ref_set = set(tokens_for_scoring(surface))
     if not ref_set:
         raise ReferenceDataError(f"proper noun token {token.surface!r} has no comparable tokens")
     hyp_tokens = tokens_for_scoring(hyp)
@@ -263,19 +264,19 @@ def _digit_sequence(tokens: Iterable[str], table: MultiplierTable) -> str:
     return "".join(out)
 
 
-def _match_spelled_digit(token: EntityToken, hyp: str, config: ScoringConfig) -> tuple[bool, str]:
+def _match_spelled_digit(token: EntityToken, surface: str, hyp: str, config: ScoringConfig) -> tuple[bool, str]:
     """Digit-subsequence preservation: LCS ratio >= LCS_THRESHOLD."""
     table = config.table_for(token.language)
-    ref = _digit_sequence(tokens_for_scoring(token.surface), table)
+    ref = _digit_sequence(tokens_for_scoring(surface), table)
     if not ref:
         raise ReferenceDataError(f"spelled digit token {token.surface!r} yields no digits")
     ratio = lcs_length(ref, _digit_sequence(tokens_for_scoring(hyp), table)) / len(ref)
     return ratio >= LCS_THRESHOLD, f"lcs {ratio:.3f} over {ref}"
 
 
-def _match_house_or_plot(token: EntityToken, hyp: str, config: ScoringConfig) -> tuple[bool, str]:
+def _match_house_or_plot(token: EntityToken, surface: str, hyp: str, config: ScoringConfig) -> tuple[bool, str]:
     """Casefolded whole-token sequence match (identifiers like 8-2-293/82)."""
-    needle = tokens_for_scoring(token.surface)
+    needle = tokens_for_scoring(surface)
     if not needle:
         raise ReferenceDataError(f"house/plot token {token.surface!r} has no comparable tokens")
     if _contains_token_seq(tokens_for_scoring(hyp), needle):
@@ -283,7 +284,7 @@ def _match_house_or_plot(token: EntityToken, hyp: str, config: ScoringConfig) ->
     return False, ""
 
 
-_MATCHERS: Mapping[str, Callable[[EntityToken, str, ScoringConfig], tuple[bool, str]]] = {
+_MATCHERS: Mapping[str, Callable[[EntityToken, str, str, ScoringConfig], tuple[bool, str]]] = {
     "digit_run": _match_digit_run,
     "pincode": _match_pincode,
     "currency_amount": _match_currency,
@@ -337,20 +338,16 @@ def score_utterance(
 ) -> list[MatchResult]:
     """Match every reference entity token against one hypothesis.
 
-    This is the one entry point to the matchers. The hypothesis is
-    normalized once, however many tokens it is matched against: its
-    scoring tokens come from the `textnorm` memo that WER reads too. The
-    digits of every script in the hypothesis and in each token's surface
-    are read as ASCII digits; each result keeps the token's own surface.
+    This is the one entry point to the matchers. The hypothesis is read
+    with the digits of every script as ASCII digits and NFKC-normalized
+    once, however many tokens read it; each surface is read with its digits
+    folded too, and each result or error quotes the surface as written.
     """
     config = config or ScoringConfig()
-    hypothesis = fold_digits(hypothesis)
+    hyp = nfkc_normalize(fold_digits(hypothesis))
     results = []
     for token in tokens:
-        read = token
-        if (surface := fold_digits(token.surface)) != token.surface:
-            read = EntityToken(surface, token.matcher_class, token.language)
-        hit, detail = _MATCHERS[token.matcher_class](read, hypothesis, config)
+        hit, detail = _MATCHERS[token.matcher_class](token, fold_digits(token.surface), hyp, config)
         results.append(MatchResult(token.surface, token.matcher_class, hit, detail))
     return results
 

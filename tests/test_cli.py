@@ -162,6 +162,18 @@ def test_score_unknown_token_language_is_a_data_error_naming_the_row(tmp_path, p
     )
 
 
+def test_score_reference_error_quotes_the_surface_as_written(tmp_path, jsonl_writer, capsys):
+    holdout = jsonl_writer("holdout.jsonl", [
+        {"id": "h1", "text": "पिन ५००८१", "language": "hi", "entity_tokens": [{"surface": "५००८१", "class": "pincode"}]},
+    ])
+    preds = jsonl_writer("preds.jsonl", [{"id": "h1", "hypothesis": "पिन ५००८१", "system": "a"}])
+    code = run("score", "--holdout", holdout, "--predictions", preds, "--lang", "hi")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "data error: row 'h1': pincode token '५००८१' must have exactly 6 digits, found 5\n"
+    )
+
+
 def test_score_missing_file_exits_2(holdout_path):
     assert run("score", "--holdout", holdout_path, "--predictions", "/no/such.jsonl", "--lang", "te") == 2
 

@@ -451,6 +451,17 @@ def test_digits_of_any_script_hit(ref, cls, hyp, mode):
     assert result.hit and result.surface == ref  # the result keeps the surface as written
 
 
+@pytest.mark.parametrize("surface, cls, message", [
+    ("५००८१", "pincode", "pincode token '५००८१' must have exactly 6 digits, found 5"),
+    ("౫౦౦౦౮౧౨", "pincode", "pincode token '౫౦౦౦౮౧౨' must have exactly 6 digits, found 7"),
+    ("₹५०,००० ५", "currency_amount", "currency token '₹५०,००० ५' does not parse as an amount"),
+])
+def test_a_reference_error_quotes_the_surface_as_written(surface, cls, message):
+    with pytest.raises(ReferenceDataError) as raised:
+        score_utterance([token(surface, cls)], "x")
+    assert str(raised.value) == message
+
+
 DIGIT_CLASS_SURFACES = [pair for pair in CLASS_SURFACES if pair[0] not in ("brand", "proper_noun")]
 
 
