@@ -170,7 +170,7 @@ def _has_lone_surrogate(record: dict) -> bool:
 
 def _required_str(record: dict, key: str, lineno: int, problems: list[str]) -> str | None:
     value = record.get(key)
-    if not isinstance(value, str) or (key != "hypothesis" and not value):
+    if not isinstance(value, str) or not value:
         problems.append(f"line {lineno}: missing or invalid field {key!r}")
         return None
     return value

@@ -175,7 +175,7 @@ def manifest_line(row: ManifestRow) -> str:
 
 class ManifestWriter(ReplacingFile):
     """Writes manifest rows to a temp file beside ``path``, as a
-    ``corpus.ReplacingFile``; ``count`` is the number of rows written.
+    ``corpus.ReplacingFile``; ``count`` is the number of rows ``write`` wrote.
 
     Use it through ``manifest_writers``.
     """
@@ -188,15 +188,14 @@ class ManifestWriter(ReplacingFile):
         self.handle.write(manifest_line(row))
         self.count += 1
 
-    def copy_from(self, fd: int, count: int) -> None:
-        """Append the ``count`` rows that a writer on the file descriptor
-        ``fd`` wrote there, from the start of that file."""
+    def copy_from(self, fd: int) -> None:
+        """Append the rows that a writer on the file descriptor ``fd``
+        wrote there, from the start of that file."""
         self.handle.flush()
         out = self.handle.buffer
         os.lseek(fd, 0, os.SEEK_SET)
         while chunk := os.read(fd, 1 << 16):
             out.write(chunk)
-        self.count += count
 
 
 def manifest_writers(*paths: str | Path | int | None) -> contextlib.AbstractContextManager:

@@ -157,7 +157,7 @@ def _run_in_parts(manifest: str, body, paths: tuple, ranges: list):
         copies = []
         for index, (pid, channel, parts) in enumerate(children, 2):
             with open(channel, "rb", closefd=False) as reader:
-                part_summary, part_ids, counts = marshal.load(reader)
+                part_summary, part_ids = marshal.load(reader)
             status = os.waitpid(pid, 0)[1]
             running.discard(pid)
             if status != 0:
@@ -167,11 +167,11 @@ def _run_in_parts(manifest: str, body, paths: tuple, ranges: list):
             if index < len(ranges):  # the ranges after this one are checked against its ids too
                 seen.update(zip(part_ids, part_ids))
             summary = _merge(summary, part_summary)
-            copies.append((parts, counts))
-        for parts, counts in copies:
-            for writer, fd, count in zip(writers, parts, counts):
+            copies.append(parts)
+        for parts in copies:
+            for writer, fd in zip(writers, parts):
                 if fd is not None:
-                    writer.copy_from(fd, count)
+                    writer.copy_from(fd)
         return summary  # the outputs are committed as the stack closes
 
 
@@ -200,13 +200,13 @@ def _run_part(manifest: str, body, targets, start: int, stop: int | None, stack:
 
 def _child(manifest: str, body, parts: list, start: int, stop: int | None, channel: int):
     """A forked child's whole life: its range's rows go to the part files,
-    and its summary, ids and row counts to ``channel``. It never returns."""
+    and its summary and ids to ``channel``. It never returns."""
     code = 1
     try:
         with contextlib.ExitStack() as stack:
-            summary, seen, writers = _run_part(manifest, body, parts, start, stop, stack)
+            summary, seen, _ = _run_part(manifest, body, parts, start, stop, stack)
         with open(channel, "wb") as out:
-            marshal.dump((summary, list(seen), [0 if w is None else w.count for w in writers]), out)
+            marshal.dump((summary, list(seen)), out)
         code = 0
     finally:
         os._exit(code)  # no cleanup of the parent's state runs in the child
