@@ -84,13 +84,14 @@ class MatchResult(Record):
 # ---------------------------------------------------------------------------
 
 class AliasTable:
-    """Groups of equivalent brand surfaces (canonical name plus aliases)."""
+    """Groups of equivalent brand surfaces (canonical name plus aliases),
+    each read casefolded with the digits of every script as ASCII digits."""
 
     def __init__(self, groups: Iterable[Iterable[str]] = ()):
         self._groups: list[tuple[str, ...]] = []  # casefolded aliases per group
         self._index: dict[str, int] = {}
         for group in groups:
-            normalized = tuple(dict.fromkeys(casefold_normalize(g) for g in group))
+            normalized = tuple(dict.fromkeys(casefold_normalize(fold_digits(g)) for g in group))
             if not normalized:
                 continue
             idx = len(self._groups)
@@ -100,7 +101,7 @@ class AliasTable:
                 self._index.setdefault(surface, idx)
 
     def lookup(self, surface: str) -> tuple[str, ...] | None:
-        idx = self._index.get(casefold_normalize(surface))
+        idx = self._index.get(casefold_normalize(fold_digits(surface)))
         return self._groups[idx] if idx is not None else None
 
     def __len__(self) -> int:

@@ -270,7 +270,8 @@ def load_language_table(language: str) -> MultiplierTable:
 def _parse_run(
     tokens: Sequence[str], table: MultiplierTable, start: int = 0
 ) -> tuple[Fraction, int] | None:
-    """Parse the longest valid prefix of ``tokens[start:]`` as one amount.
+    """Parse the longest valid prefix of ``tokens[start:]`` as one amount,
+    but for a count that the next hundred or multiplier word must scale.
 
     Returns (value, tokens consumed) or None. Tokens must already be
     casefold-normalized, and so NFKC: a numeral token is read as it is.
@@ -280,6 +281,7 @@ def _parse_run(
     current = Fraction(0)
     has_current = False
     best: tuple[Fraction, int] | None = None
+    before_count = best  # best before the pending count began
 
     for i in range(start, len(tokens)):
         tok = tokens[i]
@@ -293,11 +295,11 @@ def _parse_run(
                     break
                 current *= 100
             elif not has_current:
-                current = Fraction(unit)
-                has_current = True
+                before_count, current, has_current = best, Fraction(unit), True
             elif current.denominator != 1:
                 break
             elif current >= 100 and current % 100 == 0 and 1 <= unit <= 99:
+                before_count = best
                 current += unit  # "two hundred" + "thirty-five"
             elif current % 10 == 0 and 20 <= current % 100 <= 90 and 1 <= unit <= 9:
                 current += unit  # "twenty" + "one"
@@ -324,15 +326,18 @@ def _parse_run(
         elif _NUMERAL_RE.fullmatch(tok):
             if has_current:
                 break  # two numerals never fuse into one amount
-            current = Fraction(tok.replace(",", ""))
-            has_current = True
+            before_count, current, has_current = best, Fraction(tok.replace(",", "")), True
         else:
             break
 
         # snapshot whenever the expression could legally end here
         if (has_current or last_mult is not None) and (last_mult is None or current < last_mult):
             best = (groups_total + current, i + 1 - start)
-
+    else:
+        return best
+    # "two hundred five hundred" reads 200, then 500, not 205 and a lone hundred
+    if has_current and (unit == 100 or mult is not None) and before_count is not None:
+        return before_count
     return best
 
 

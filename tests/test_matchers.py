@@ -2,9 +2,10 @@ import logging
 import unicodedata
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import matcher_oracle
 from indicscore import corpus
 from indicscore.errors import ConfigurationError, ReferenceDataError
 from indicscore.matchers import (
@@ -24,13 +25,12 @@ EN = ENGLISH_TABLE
 TE = load_language_table("te")
 TE_EN = TE.merged_with(EN)
 
-BRANDS = AliasTable(
-    [
-        ("Paytm", "paytm", "పేటీఎం"),
-        ("PhonePe", "phone pe", "ఫోన్ పే"),
-        ("Swiggy",),
-    ]
-)
+BRAND_GROUPS = [
+    ("Paytm", "paytm", "పేటీఎం"),
+    ("PhonePe", "phone pe", "ఫోన్ పే"),
+    ("Swiggy",),
+]
+BRANDS = AliasTable(BRAND_GROUPS)
 
 
 def token(surface, cls, language=None):
@@ -181,6 +181,12 @@ class TestMatcherRuleBoundaries:
         assert table.lookup("PAYTM") == ("paytm", "పేటీఎం")
         assert table.lookup("paytm mall") == ("paytm mall", "paytm")
         assert table.lookup("Swiggy") is None
+
+    def test_alias_lookup_reads_digits_of_any_script(self):
+        table = AliasTable([("7-Eleven", "७-इलेवन")])
+        assert table.lookup("७-ELEVEN") == table.lookup("7-इलेवन") == ("7-eleven", "7-इलेवन")
+        assert score_one(token("७-इलेवन", "brand"), "at 7-Eleven", aliases=table).hit
+        assert score_one(token("7-Eleven", "brand"), "at ७-इलेवन", aliases=table).hit
 
     # -- proper_noun ---------------------------------------------------------
 
@@ -353,44 +359,6 @@ def test_scoring_a_row_equals_scoring_each_token_alone(pairs, hyp, mode):
     assert together == alone
 
 
-def naive_digit_blocks(text):
-    """Every string the digit_run rule offers in text, restated with plain loops.
-
-    Digits (after NFKC) with at most one space or comma between them form a
-    run; the spaces cut it into groups; neighbouring one-digit groups are
-    one block; any stretch of consecutive blocks is offered.
-    """
-    text = unicodedata.normalize("NFKC", text)
-    offered = set()
-    i = 0
-    while i < len(text):
-        if text[i] not in "0123456789":
-            i += 1
-            continue
-        groups = [text[i]]
-        i += 1
-        while i < len(text):
-            if text[i] in "0123456789":
-                groups[-1] += text[i]
-                i += 1
-            elif text[i] in " ," and i + 1 < len(text) and text[i + 1] in "0123456789":
-                if text[i] == " ":
-                    groups.append("")
-                i += 1
-            else:
-                break
-        blocks = []
-        for n, group in enumerate(groups):
-            if len(group) == 1 and n > 0 and len(groups[n - 1]) == 1:
-                blocks[-1] += group
-            else:
-                blocks.append(group)
-        for start in range(len(blocks)):
-            for end in range(start + 1, len(blocks) + 1):
-                offered.add("".join(blocks[start:end]))
-    return offered
-
-
 DIGIT_GROUPS = st.one_of(
     st.text("0123456789", min_size=1, max_size=6),
     st.sampled_from(["5", "0", "98765", "43210", "500081", "５０"]),
@@ -418,7 +386,7 @@ def test_digit_classes_agree_with_a_naive_restatement(hyp, data):
         st.text("0123456789", min_size=1, max_size=8),
     ))
     digits = "".join(ch for ch in unicodedata.normalize("NFKC", ref) if ch in "0123456789")
-    expected = digits in naive_digit_blocks(text)
+    expected = digits in matcher_oracle.digit_blocks(text)
     assert score_one(token(ref, "digit_run"), text).hit == expected
     if len(digits) == 6:
         assert score_one(token(ref, "pincode"), text).hit == expected
@@ -476,6 +444,168 @@ def test_the_script_of_the_hypothesis_digits_changes_no_digit_class_hit(pair, hy
     config = ScoringConfig(language="te", currency_mode=mode)
     ascii_hit = score_utterance([tok], hyp, config)[0].hit
     assert score_utterance([tok], in_script(hyp, DIGIT_ZEROS[script]), config)[0].hit == ascii_hit
+
+
+# The four word classes against tests/matcher_oracle.py. The alias groups
+# list one brand in two digit scripts and one whose casefold changes length.
+ORACLE_GROUPS = [
+    ("Paytm", "paytm", "పేటీఎం"),
+    ("PhonePe", "phone pe", "ఫోన్ పే"),
+    ("Swiggy",),
+    ("7-Eleven", "७-इलेवन"),
+    ("Straße Shop", "STRASSE SHOP"),
+]
+ORACLE_SURFACES = {
+    "brand": [
+        "Paytm", "PAYTM", "పేటీఎం", "PhonePe", "Phone Pe", "Swiggy", "Zomato", "7-Eleven", "७-इलेवन",
+        "७-ELEVEN", "straße shop", "Big Basket", "(Paytm)", "!!",
+    ],
+    "proper_noun": [
+        "Jubilee Hills", "జూబ్లీ హిల్స్", "rajiv gandhi international airport", "Anna Nagar",
+        "hills Hills jubilee", "Straße", "K", "!!",
+    ],
+    "spelled_digit": [
+        "five four two", "54235", "౫౪౨౩౫", "ఐదు నాలుగు రెండు", "twenty one 7", "nine hundred", "hundred",
+        "five-four", "४२ पाँच",
+    ],
+    "house_or_plot": ["8-2-293/82", "८-२-२९३/८२", "plot 42", "Flat No. 5", "...", "H.No 7"],
+}
+ORACLE_WORDS = sorted(
+    {word for surfaces in ORACLE_SURFACES.values() for surface in surfaces for word in surface.split()}
+    | {word for group in ORACLE_GROUPS for alias in group for word in alias.split()}
+    | {"pay", "now,", "(ok)", "５０", "5", "4", "2", "42", "७", "౨", "nine", "hills.", "AIRPORT", "ఐదు", "నాలుగు"}
+)
+ORACLE_SEPARATORS = st.sampled_from([" ", "  ", "\u00a0", " , ", "\t"])
+
+
+def written_forms(surface):
+    """The surface, in capitals, in each digit script, and every alias of a
+    group that lists it."""
+    key = matcher_oracle.ascii_digits(surface).casefold()
+    aliases = [alias for group in ORACLE_GROUPS
+               if key in [matcher_oracle.ascii_digits(entry).casefold() for entry in group] for alias in group]
+    return [surface, surface.upper(), *(in_script(surface, zero) for zero in DIGIT_ZEROS.values()), *aliases]
+
+
+@st.composite
+def oracle_rows(draw):
+    """A (class, surface) pair and a hypothesis of words that may hold a
+    written form of the surface."""
+    cls, surface = draw(st.sampled_from(
+        [(cls, surface) for cls, surfaces in ORACLE_SURFACES.items() for surface in surfaces]
+    ))
+    pieces = draw(st.lists(st.sampled_from(ORACLE_WORDS), max_size=10))
+    if draw(st.booleans()):
+        pieces.insert(draw(st.integers(0, len(pieces))), draw(st.sampled_from(written_forms(surface))))
+    return cls, surface, "".join(piece + draw(ORACLE_SEPARATORS) for piece in pieces)
+
+
+def assert_the_oracle_agrees(cls, surface, hyp, language, mode):
+    config = ScoringConfig(language=language, currency_mode=mode, aliases=AliasTable(ORACLE_GROUPS))
+    units = config.table_for(language).units
+    oracle = {
+        "brand": lambda: matcher_oracle.brand_hit(surface, hyp, ORACLE_GROUPS),
+        "proper_noun": lambda: matcher_oracle.proper_noun_hit(surface, hyp),
+        "spelled_digit": lambda: matcher_oracle.spelled_digit_hit(surface, hyp, units),
+        "house_or_plot": lambda: matcher_oracle.house_or_plot_hit(surface, hyp),
+    }[cls]
+    try:
+        expected = oracle()
+    except matcher_oracle.NoReference:
+        with pytest.raises(ReferenceDataError):
+            score_utterance([token(surface, cls)], hyp, config)
+        return
+    assert score_utterance([token(surface, cls)], hyp, config)[0].hit == expected, (cls, surface, hyp)
+
+
+@settings(max_examples=500)
+@given(oracle_rows(), st.sampled_from(["te", "ta", "hi"]), st.sampled_from(["strict", "bidirectional"]))
+def test_the_word_classes_agree_with_a_naive_restatement(row, language, mode):
+    assert_the_oracle_agrees(*row, language, mode)
+
+
+@pytest.mark.parametrize("mode", ["strict", "bidirectional"])
+def test_the_word_classes_agree_with_a_naive_restatement_on_every_written_form(mode):
+    for cls, surfaces in ORACLE_SURFACES.items():
+        for surface in surfaces:
+            for form in written_forms(surface):
+                for hyp in (form, f"pay {form}, now", f"{form}{form}"):
+                    assert_the_oracle_agrees(cls, surface, hyp, "te", mode)
+
+
+# Word insertion: each surface of CLASS_SURFACES with forms of it that a
+# hypothesis may carry, and words to insert between two of them.
+OCCURRENCES = {
+    "9876543210": ["9876543210", "98765 43210", "९८७६५ ४३२१०"],
+    "42": ["42", "४२"],
+    "500081": ["500081", "5 0 0 0 8 1", "౫౦౦౦౮౧"],
+    "₹500": ["₹500", "500 rupees", "five hundred"],
+    "₹5,00,000": ["₹5,00,000", "500000", "five lakh", "ఐదు లక్షల"],
+    "rs 250": ["rs 250", "two hundred fifty"],
+    "five lakh": ["five lakh", "500000"],
+    "two hundred rupees": ["two hundred rupees", "200"],
+    "₹1,250": ["₹1,250", "1250", "one thousand two hundred fifty"],
+    "Paytm": ["Paytm", "పేటీఎం"],
+    "PhonePe": ["phone pe", "PhonePe"],
+    "Jubilee Hills": ["Jubilee Hills", "hills jubilee"],
+    "rajiv gandhi international airport": ["rajiv gandhi international airport"],
+    "54235": ["54235", "five four two three five"],
+    "five four two": ["five four two", "5 4 2"],
+    "8-2-293/82": ["8-2-293/82", "(8-2-293/82)"],
+    "plot 42": ["plot 42", "Plot 42."],
+}
+INSERTED_WORDS = ["అక్కడ", "then", "மற்றும்", "और", "please"]
+
+
+def test_the_inserted_words_meet_the_relations_precondition():
+    lexicon = set()
+    for language in ("te", "ta", "hi", "en"):
+        table = ScoringConfig(language=language).table_for(language)
+        lexicon |= set(table.units) | set(table.multipliers) | table.currency_markers
+    surface_words = {
+        word.casefold()
+        for text in [*OCCURRENCES, *(form for forms in OCCURRENCES.values() for form in forms),
+                     *(alias for group in BRAND_GROUPS for alias in group)]
+        for word in matcher_oracle.words(text)
+    }
+    for word in INSERTED_WORDS:
+        assert not any(unicodedata.category(ch) == "Nd" for ch in word)
+        assert word.casefold() not in lexicon | surface_words
+
+
+@st.composite
+def rows_with_an_insertion(draw):
+    """Entity tokens, the form each takes in the hypothesis, a hypothesis of
+    those forms among other words, and the same hypothesis with a word
+    inserted between two of the forms."""
+    entities = draw(st.lists(st.sampled_from(CLASS_SURFACES), min_size=2, max_size=5))
+    forms = [draw(st.sampled_from(OCCURRENCES[surface])) for _, surface in entities]
+    fillers = draw(st.lists(st.sampled_from(HYP_WORDS), max_size=5))
+    order = draw(st.permutations(range(len(forms) + len(fillers))))
+    pieces = [(forms + fillers)[i] for i in order]
+    position = [order.index(i) for i in range(len(forms))]  # the piece each entity form is
+    gap = draw(st.integers(min(position) + 1, max(position)))
+    word = draw(st.sampled_from(INSERTED_WORDS))
+    tokens = [token(surface, cls) for cls, surface in entities]
+    return tokens, forms, " ".join(pieces), " ".join(pieces[:gap] + [word] + pieces[gap:])
+
+
+@settings(max_examples=300)
+@given(rows_with_an_insertion(), st.sampled_from(["strict", "bidirectional"]))
+@example(  # the scanner once read "500 five" as 505, then "five lakh" after a lone hundred
+    ([token("₹500", "currency_amount"), token("₹5,00,000", "currency_amount")], ["₹500", "five lakh"],
+     "₹500 five hundred five lakh", "₹500 అక్కడ five hundred five lakh"),
+    "strict",
+)
+def test_a_word_inserted_between_two_entities_turns_no_hit_into_a_miss(row, mode):
+    tokens, forms, hyp, inserted = row
+    config = ScoringConfig(language="te", currency_mode=mode, aliases=BRANDS)
+    before = score_utterance(tokens, hyp, config)
+    after = score_utterance(tokens, inserted, config)
+    for tok, form, was, now in zip(tokens, forms, before, after):
+        # a form that does not recover its token alone is no occurrence of it
+        if score_utterance([tok], form, config)[0].hit and was.hit:
+            assert now.hit, (tok, hyp, inserted, now.detail)
 
 
 def test_table_for_merges_once_per_language():

@@ -226,6 +226,22 @@ def test_parse_currency_expression_takes_longest_run():
     assert amounts == [250000]
 
 
+@pytest.mark.parametrize("text, amounts", [
+    ("two hundred five hundred", [200, 500]),
+    ("two hundred twenty five hundred", [200, 2500]),
+    ("₹500 five hundred five lakh", [500, 50500000]),
+    ("five lakh five lakh 1250", [500000, 501250]),
+    ("five lakh twenty thousand five lakh", [520000, 500000]),
+    ("five lakh 500 lakh", [500000, 50000000]),
+    ("twenty five hundred", [2500]),
+    ("two hundred five", [205]),
+])
+def test_parse_currency_expression_leaves_a_count_to_the_word_that_scales_it(text, amounts):
+    # a count that the next hundred or multiplier word scales starts a new
+    # amount when that word cannot extend the one before it
+    assert parse_currency_expression(text, EN) == amounts
+
+
 def test_parse_currency_expression_empty():
     assert parse_currency_expression("no numbers here", EN) == []
 
