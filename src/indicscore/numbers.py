@@ -295,7 +295,9 @@ def _parse_run(
                     break
                 current *= 100
             elif not has_current:
-                before_count, current, has_current = best, Fraction(unit), True
+                before_count = best
+                current = Fraction(unit)
+                has_current = True
             elif current.denominator != 1:
                 break
             elif current >= 100 and current % 100 == 0 and 1 <= unit <= 99:
@@ -326,7 +328,9 @@ def _parse_run(
         elif _NUMERAL_RE.fullmatch(tok):
             if has_current:
                 break  # two numerals never fuse into one amount
-            before_count, current, has_current = best, Fraction(tok.replace(",", "")), True
+            before_count = best
+            current = Fraction(tok.replace(",", ""))
+            has_current = True
         else:
             break
 
