@@ -44,9 +44,12 @@ def words(text):
 
 
 def contains(haystack, needle):
-    """Whether the non-empty list needle occurs in haystack as consecutive items."""
+    """Whether needle occurs in haystack as consecutive items; an empty
+    needle never does."""
+    if not needle:
+        return False
     for i in range(len(haystack) - len(needle) + 1):
-        if needle and haystack[i : i + len(needle)] == needle:
+        if haystack[i : i + len(needle)] == needle:
             return True
     return False
 
