@@ -147,9 +147,9 @@ def cmd_score(args: argparse.Namespace) -> int:
             json.dumps(
                 {
                     "id": detail.id,
-                    "wer": detail.wer,
-                    "cer": detail.cer,
-                    "sfr": detail.sfr,
+                    "wer": detail.wer.rate,
+                    "cer": detail.cer.rate,
+                    "sfr": detail.sfr.value,
                     "entities": [
                         {
                             "surface": m.surface,

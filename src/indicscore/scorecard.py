@@ -20,12 +20,12 @@ from .textnorm import DEFAULT_NORM, NormConfig, format_value
 
 
 class UtteranceDetail(Record):
-    """Per-utterance metrics plus every entity match decision."""
+    """One row's WER, CER and SFR tallies plus every entity match decision."""
 
     id: str
-    wer: float
-    cer: float
-    sfr: float | None
+    wer: ErrorRate
+    cer: ErrorRate
+    sfr: SfrResult
     matches: tuple[MatchResult, ...]
 
 
@@ -82,9 +82,6 @@ def score_predictions(
     row_ids = {row.id for row in rows}
     unmatched_predictions = tuple(sorted(p.id for p in predictions if p.id not in row_ids))
 
-    word_distance = word_total = 0
-    char_distance = char_total = 0
-    row_sfrs: list[SfrResult] = []
     details: list[UtteranceDetail] = []
     for row in matched:
         hypothesis = by_id[row.id].hypothesis
@@ -96,30 +93,18 @@ def score_predictions(
         except (DataError, ConfigurationError) as exc:
             # a row's text or entity tokens (a token's own language, say) are data
             raise DataError(f"row {row.id!r}: {exc}") from exc
-        word_distance += row_wer.distance
-        word_total += row_wer.reference_length
-        char_distance += row_cer.distance
-        char_total += row_cer.reference_length
-        row_sfrs.append(row_sfr)
-        details.append(
-            UtteranceDetail(
-                id=row.id,
-                wer=row_wer.rate,
-                cer=row_cer.rate,
-                sfr=row_sfr.value,
-                matches=tuple(results),
-            )
-        )
+        details.append(UtteranceDetail(row.id, row_wer, row_cer, row_sfr, tuple(results)))
 
+    # every pooled figure is a sum over the rows' own tallies
     scorecard = Scorecard(
         system=system,
         holdout=holdout_name,
         language=language,
         n=len(matched),
-        wer=ErrorRate(word_distance, word_total),
-        cer=ErrorRate(char_distance, char_total),
-        sfr=aggregate_sfr(row_sfrs),
-        ehr=aggregate_ehr(m for detail in details for m in detail.matches),
+        wer=ErrorRate(sum(d.wer.distance for d in details), sum(d.wer.reference_length for d in details)),
+        cer=ErrorRate(sum(d.cer.distance for d in details), sum(d.cer.reference_length for d in details)),
+        sfr=aggregate_sfr(d.sfr for d in details),
+        ehr=aggregate_ehr(m for d in details for m in d.matches),
         unmatched_row_ids=unmatched_rows,
         unmatched_prediction_ids=unmatched_predictions,
         currency_mode=config.currency_mode,

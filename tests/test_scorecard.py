@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from indicscore.corpus import HoldoutRow, Prediction
 from indicscore.distance import cer, wer
 from indicscore.errors import ConfigurationError, DataError
-from indicscore.matchers import AliasTable, EntityToken, ScoringConfig
+from indicscore.matchers import AliasTable, EntityToken, ScoringConfig, score_utterance
 from indicscore.scorecard import (
     SFR_DIAGNOSTIC_THRESHOLD,
     VERDICT_APPLY,
@@ -19,6 +19,7 @@ from indicscore.scorecard import (
     score_predictions,
     scorecard_record,
 )
+from indicscore.script import sfr
 from indicscore.textnorm import DEFAULT_NORM, STRICT_NORM
 
 ROWS = [
@@ -99,7 +100,7 @@ def test_empty_hypothesis_scores_as_all_errors():
     predictions = [Prediction(id="u1", hypothesis="")]
     card, details = score(predictions=predictions)
     assert card.wer.rate == 1.0
-    assert details[0].sfr is None
+    assert details[0].sfr.value is None
     assert not details[0].matches[0].hit
 
 
@@ -168,18 +169,31 @@ def test_a_row_scored_against_its_own_text_has_no_errors(rows, config, normaliza
     predictions = [Prediction(id=row.id, hypothesis=row.text) for row in rows]
     card, details = score(rows, predictions, config=config, normalization=normalization)
     assert card.wer.distance == card.cer.distance == 0
-    assert all(d.wer == d.cer == 0.0 for d in details)
+    assert all(d.wer.distance == d.cer.distance == 0 for d in details)
     assert all(tally.hits == tally.n for tally in card.ehr.per_class.values())  # EHR = 1
 
 
 @given(holdouts(), st.lists(holdout_texts(), min_size=4, max_size=4), GENERATED_CONFIGS, NORMS)
 def test_pooled_error_rates_are_the_sums_of_the_rows(rows, hypotheses, config, normalization):
     predictions = [Prediction(id=row.id, hypothesis=hyp) for row, (hyp, _) in zip(rows, hypotheses)]
-    card, _ = score(rows, predictions, config=config, normalization=normalization)
-    for pooled, metric in ((card.wer, wer), (card.cer, cer)):
-        per_row = [metric(row.text, p.hypothesis, normalization) for row, p in zip(rows, predictions)]
+    card, details = score(rows, predictions, config=config, normalization=normalization)
+    pairs = list(zip(rows, predictions))
+    for pooled, metric, field in ((card.wer, wer, "wer"), (card.cer, cer, "cer")):
+        per_row = [metric(row.text, p.hypothesis, normalization) for row, p in pairs]
+        assert [getattr(d, field) for d in details] == per_row
         assert pooled.distance == sum(r.distance for r in per_row)
         assert pooled.reference_length == sum(r.reference_length for r in per_row)
+    row_sfrs = [sfr(p.hypothesis, "te") for _, p in pairs]
+    assert [d.sfr for d in details] == row_sfrs
+    assert card.sfr.letter_count == sum(r.letter_count for r in row_sfrs)
+    assert card.sfr.in_block_count == sum(r.in_block_count for r in row_sfrs)
+    per_class: dict[str, list[int]] = {}
+    for row, p in pairs:
+        for m in score_utterance(row.entity_tokens, p.hypothesis, config):
+            tally = per_class.setdefault(m.matcher_class, [0, 0])
+            tally[0] += 1
+            tally[1] += m.hit
+    assert {cls: [t.n, t.hits] for cls, t in card.ehr.per_class.items()} == per_class
 
 
 def test_unmatched_ids_do_not_depend_on_row_order():
