@@ -279,7 +279,7 @@ def _parse_run(
     groups_total = Fraction(0)
     last_mult: int | None = None
     current = Fraction(0)
-    has_current = False
+    has_current = numeral = False  # numeral: the pending count is written in digits
     best: tuple[Fraction, int] | None = None
     before_count = best  # best before the pending count began
 
@@ -298,8 +298,9 @@ def _parse_run(
                 before_count = best
                 current = Fraction(unit)
                 has_current = True
-            elif current.denominator != 1:
-                break
+                numeral = False
+            elif numeral:
+                break  # a count written in digits takes no unit word: "₹500 five" is two amounts
             elif current >= 100 and current % 100 == 0 and 1 <= unit <= 99:
                 before_count = best
                 current += unit  # "two hundred" + "thirty-five"
@@ -330,7 +331,7 @@ def _parse_run(
                 break  # two numerals never fuse into one amount
             before_count = best
             current = Fraction(tok.replace(",", ""))
-            has_current = True
+            has_current = numeral = True
         else:
             break
 

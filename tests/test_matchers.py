@@ -131,6 +131,11 @@ class TestMatcherRuleBoundaries:
         assert not score_one(token("₹5,00,000", "currency_amount"), "pay five rupees", currency_mode="strict").hit
         assert not score_one(token("₹5,00,000", "currency_amount"), "pay five", currency_mode="bidirectional").hit
 
+    @pytest.mark.parametrize("mode", ["strict", "bidirectional"])
+    def test_currency_numeral_does_not_fuse_with_a_following_unit_word(self, mode):
+        # "₹500 five people" holds 500 and 5, never 505
+        assert not score_one(token("₹505", "currency_amount"), "paid ₹500 five people", currency_mode=mode).hit
+
     def test_currency_mixed_script_hypothesis(self):
         result = score_one(
             token("₹5,00,000", "currency_amount"),

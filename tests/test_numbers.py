@@ -242,6 +242,18 @@ def test_parse_currency_expression_leaves_a_count_to_the_word_that_scales_it(tex
     assert parse_currency_expression(text, EN) == amounts
 
 
+@pytest.mark.parametrize("text, amounts", [
+    ("₹500 five", [500, 5]),
+    ("20 one", [20, 1]),
+    ("5 hundred five", [500, 5]),
+    ("5 hundred", [500]),
+    ("5 lakh", [500000]),
+])
+def test_a_count_written_in_digits_takes_no_unit_word(text, amounts):
+    # a hundred or a multiplier word still scales a numeral count
+    assert parse_currency_expression(text, EN) == amounts
+
+
 def test_parse_currency_expression_empty():
     assert parse_currency_expression("no numbers here", EN) == []
 
