@@ -53,6 +53,12 @@ _NUMERAL_RE = re.compile(
 )
 
 _DIGIT_RUN_RE = re.compile(r"[0-9]+")
+# Grouped mode reads a whole grouped numeral with no zero first and no digit,
+# comma or decimal point joined to it ("05,000", "1,2,3" and "1,500.50" go run
+# by run); the leading [1-9] lets the scan skip ahead to the next digit.
+_GROUPED_RUN_RE = re.compile(
+    r"[1-9](?<![0-9,].)(?<![0-9]\..)(?:[0-9]{0,2}(?:,[0-9]{3})+|[0-9]?(?:,[0-9]{2})*,[0-9]{3})(?![.,]?[0-9])|[0-9]+"
+)
 
 
 def parse_latin_numeral(text: str) -> Fraction | None:
@@ -456,7 +462,8 @@ def spell_number(value: int, table: MultiplierTable) -> list[str]:
 def rewrite_digit_runs(text: str, table: MultiplierTable, mode: str = "grouped") -> str:
     """Replace every maximal ASCII digit run with its spelled-out form.
 
-    ``grouped`` spells the run's value under Indian grouping;
+    ``grouped`` spells the run's value under Indian grouping, a Western- or
+    Indian-grouped numeral ("50,000", "7,00,00,000") counting as one run;
     ``digit_by_digit`` emits one unit word per digit. Single digits become
     unit words in both modes. Runs with leading zeros ("054") are spelled
     digit by digit even in grouped mode, since their value would silently
@@ -467,11 +474,12 @@ def rewrite_digit_runs(text: str, table: MultiplierTable, mode: str = "grouped")
         raise ConfigurationError(f"unknown rewrite mode {mode!r}; expected one of {REWRITE_MODES}")
 
     def replace(match: re.Match[str]) -> str:
-        run = match.group()
+        run = match.group().replace(",", "")
         if mode == "digit_by_digit" or len(run) == 1 or run[0] == "0":
             return " ".join(_spelling_word(table, int(d), "unit") for d in run)
         if int(run) >= _SPELL_LIMIT:
-            raise DataError(f"digit run {run} is too long to spell in grouped mode")
+            raise DataError(f"digit run {match.group()} is too long to spell in grouped mode")
         return " ".join(spell_number(int(run), table))
 
-    return _DIGIT_RUN_RE.sub(replace, nfkc_normalize(text))
+    pattern = _GROUPED_RUN_RE if mode == "grouped" else _DIGIT_RUN_RE
+    return pattern.sub(replace, nfkc_normalize(text))

@@ -392,6 +392,44 @@ def test_rewrite_huge_run_grouped_rejected():
     assert out.split()[0] == "one" and set(out.split()[1:]) == {"zero"}
 
 
+def test_rewrite_grouped_reads_a_grouped_numeral_as_one_amount():
+    assert rewrite_digit_runs("बताइए ₹7,00,00,000 है", HI) == "बताइए ₹सात करोड़ है"
+    assert rewrite_digit_runs("pay ₹50,000 now", EN) == "pay ₹fifty thousand now"
+
+
+@pytest.mark.parametrize("text, mode, out", [
+    ("05,000", "grouped", "zero five,zero zero zero"),  # a leading-zero group
+    ("1,2,3", "grouped", "one,two,three"),  # a malformed grouping
+    ("1,234,5678", "grouped", "one,two hundred thirty-four,five thousand six hundred seventy-eight"),
+    ("1,500.50", "grouped", "one,five hundred.fifty"),  # a decimal
+    ("12.1,000", "grouped", "twelve.one,zero zero zero"),
+    ("50,000", "digit_by_digit", "five zero,zero zero zero"),
+])
+def test_rewrite_reads_what_is_not_one_grouped_numeral_run_by_run(text, mode, out):
+    assert rewrite_digit_runs(text, EN, mode) == out
+
+
+def test_rewrite_huge_grouped_numeral_rejected():
+    with pytest.raises(DataError):
+        rewrite_digit_runs("₹10,00,00,00,00,000", EN)
+
+
+def indian_grouped(value):
+    head, tail = divmod(value, 1000)
+    groups = []
+    while head:
+        head, group = divmod(head, 100)
+        groups.append(f"{group:02d}" if head else str(group))
+    return ",".join(groups[::-1] + [f"{tail:03d}"])
+
+
+@given(st.integers(min_value=1000, max_value=10**12 - 1), st.booleans(), st.sampled_from(sorted(ALL_TABLES)))
+def test_grouped_rewrite_of_a_grouped_numeral_round_trips(value, indian, lang):
+    table = ALL_TABLES[lang]
+    numeral = indian_grouped(value) if indian else f"{value:,}"
+    assert parse_number_words(rewrite_digit_runs(numeral, table).split(), table) == value
+
+
 def test_rewrite_round_trips_through_parser():
     for value in (7, 42, 500, 500081, 123456789):
         out = rewrite_digit_runs(str(value), EN)
