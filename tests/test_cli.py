@@ -150,6 +150,37 @@ def test_score_non_string_token_language_exits_2(tmp_path, preds_path, capsys):
     )
 
 
+@pytest.mark.parametrize("file, override, message", [
+    ("holdout", {"entity_tokens": "500081"}, "entity_tokens must be a list"),
+    ("holdout", {"entity_tokens": [5]}, "entity token must be a string or object"),
+    ("holdout", {"entity_tokens": [{"surface": "", "class": "pincode"}]}, "entity token needs a non-empty 'surface'"),
+    ("holdout", {"language": 5}, "language must be a string"),
+    ("holdout", {"entity_class": ["digits"]}, "entity_class must be a string"),
+    ("predictions", {"hypothesis": None}, "missing or invalid field 'hypothesis'"),
+    ("predictions", {"system": 7}, "system must be a string"),
+])
+def test_score_malformed_field_exits_2_naming_the_line(tmp_path, file, override, message, capsys):
+    row, pred = dict(TE_ROWS[0]), dict(TE_PREDS[0])
+    (row if file == "holdout" else pred).update(override)
+    paths = {"holdout": tmp_path / "holdout.jsonl", "predictions": tmp_path / "preds.jsonl"}
+    for path, record in ((paths["holdout"], row), (paths["predictions"], pred)):
+        path.write_text(json.dumps({k: v for k, v in record.items() if v is not None}) + "\n", encoding="utf-8")
+    code = run("score", "--holdout", str(paths["holdout"]), "--predictions", str(paths["predictions"]),
+               "--lang", "te", "--out", str(tmp_path / "c.json"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err == f"data error: malformed {file} file {paths[file]}\n  line 1: {message}\n"
+
+
+def test_score_unknown_system_exits_2(tmp_path, holdout_path, preds_path, capsys):
+    code = run("score", "--holdout", holdout_path, "--predictions", preds_path, "--lang", "te",
+               "--system", "absent", "--out", str(tmp_path / "c.json"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "no predictions for system 'absent'" in err and "Traceback" not in err
+
+
 def test_score_unknown_token_language_is_a_data_error_naming_the_row(tmp_path, preds_path, capsys):
     # the language comes from the holdout file, not from the command line
     token = {"surface": "₹5,00,000", "class": "currency_amount", "language": "xx"}
@@ -579,6 +610,16 @@ def test_pipeline_validate(tmp_path, jsonl_writer, capsys):
     assert "short: length" in out
     assert "latin: script_purity" in out
     assert "1 of 3 rows clean" in out
+
+
+def test_pipeline_validate_merges_overlapping_entity_spans(jsonl_writer, capsys):
+    # "Hills" lies inside "Jubilee Hills": one span, whose Latin letters purity skips
+    row = {
+        "id": "jh", "text": "మేము Jubilee Hills లో ఉన్నాము సరే", "language": "te", "corpus_class": "proper_nouns",
+        "entity_tokens": [{"surface": "Jubilee Hills", "class": "proper_noun"}, {"surface": "Hills", "class": "proper_noun"}],
+    }
+    assert run("pipeline", "validate", "--manifest", jsonl_writer("v.jsonl", [row])) == 0
+    assert "1 of 1 rows clean, 0 violations" in capsys.readouterr().out
 
 
 def test_pipeline_validate_prints_each_format_in_full(jsonl_writer, capsys):
