@@ -275,16 +275,6 @@ def render_distribution_table(rows: Iterable[ManifestRow]) -> str:
 # Class balancing
 # ---------------------------------------------------------------------------
 
-def balanced_ids(rows: Iterable[ManifestRow], per_class_target: int, seed: int = 0) -> set[str]:
-    """Ids kept by a seeded downsample to at most ``per_class_target`` rows
-    per class.
-
-    Selection is independent of input order: each class's ids are sorted
-    before sampling.
-    """
-    return sample_class_ids(ids_by_class(rows), per_class_target, seed)
-
-
 def ids_by_class(rows: Iterable[ManifestRow]) -> dict[str, list[str]]:
     """The row ids of each corpus class, in input order."""
     by_class: dict[str, list[str]] = {}
@@ -296,7 +286,10 @@ def ids_by_class(rows: Iterable[ManifestRow]) -> dict[str, list[str]]:
 def sample_class_ids(
     by_class: Mapping[str, Sequence[str]], per_class_target: int, seed: int = 0
 ) -> set[str]:
-    """``balanced_ids`` of rows whose ids per class are ``by_class``, in any order."""
+    """Ids kept by a seeded downsample of each class in ``by_class`` to at
+    most ``per_class_target`` ids. Each class's ids are sorted before
+    sampling, so the selection does not depend on their order.
+    """
     if per_class_target < 0:
         raise ConfigurationError("per_class_target must be non-negative")
     selected: set[str] = set()
@@ -312,6 +305,6 @@ def sample_class_ids(
 def class_balance(
     rows: Sequence[ManifestRow], per_class_target: int, seed: int = 0
 ) -> list[ManifestRow]:
-    """The rows ``balanced_ids`` keeps, in input order."""
-    selected = balanced_ids(rows, per_class_target, seed)
+    """The rows ``sample_class_ids`` keeps, in input order."""
+    selected = sample_class_ids(ids_by_class(rows), per_class_target, seed)
     return [row for row in rows if row.id in selected]
