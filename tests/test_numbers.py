@@ -358,6 +358,9 @@ def test_spell_number_matches_its_former_steps(value, lang):
 
 def test_rewrite_grouped():
     assert rewrite_digit_runs("pay 500000 now", EN) == "pay five lakh now"
+    # a whole grouped numeral is one amount
+    assert rewrite_digit_runs("बताइए ₹7,00,00,000 है", HI) == "बताइए ₹सात करोड़ है"
+    assert rewrite_digit_runs("pay ₹50,000 now", EN) == "pay ₹fifty thousand now"
     assert rewrite_digit_runs("pin 500081", EN, "digit_by_digit") == (
         "pin five zero zero zero eight one"
     )
@@ -387,14 +390,11 @@ def test_rewrite_mode_validated():
 def test_rewrite_huge_run_grouped_rejected():
     with pytest.raises(ValueError):
         rewrite_digit_runs("1000000000000", EN)
+    with pytest.raises(DataError):
+        rewrite_digit_runs("₹10,00,00,00,00,000", EN)
     # digit_by_digit has no magnitude limit
     out = rewrite_digit_runs("1000000000000", EN, "digit_by_digit")
     assert out.split()[0] == "one" and set(out.split()[1:]) == {"zero"}
-
-
-def test_rewrite_grouped_reads_a_grouped_numeral_as_one_amount():
-    assert rewrite_digit_runs("बताइए ₹7,00,00,000 है", HI) == "बताइए ₹सात करोड़ है"
-    assert rewrite_digit_runs("pay ₹50,000 now", EN) == "pay ₹fifty thousand now"
 
 
 @pytest.mark.parametrize("text, mode, out", [
@@ -407,11 +407,6 @@ def test_rewrite_grouped_reads_a_grouped_numeral_as_one_amount():
 ])
 def test_rewrite_reads_what_is_not_one_grouped_numeral_run_by_run(text, mode, out):
     assert rewrite_digit_runs(text, EN, mode) == out
-
-
-def test_rewrite_huge_grouped_numeral_rejected():
-    with pytest.raises(DataError):
-        rewrite_digit_runs("₹10,00,00,00,00,000", EN)
 
 
 def indian_grouped(value):
