@@ -252,6 +252,38 @@ def test_score_csv_format(tmp_path, holdout_path, preds_path, capsys):
     assert header[:4] == ["system", "holdout", "language", "n"]
 
 
+def test_score_prints_each_format_in_full(tmp_path, holdout_path, preds_path, capsys):
+    expected = {
+        "table": (
+            "system: modelA    holdout: holdout    language: te    n: 3\n"
+            "WER 0.300    CER 0.250    SFR 1.000    EHR micro 1.000 / macro 1.000\n"
+            "entity classes:\n"
+            "  currency_amount  n    1  hits    1  rate 1.000\n"
+            "  digit_run        n    1  hits    1  rate 1.000\n"
+        ),
+        "records": (
+            '{"cer": {"distance": 17, "rate": 0.25, "reference_length": 68}, "currency_mode": "bidirectional",'
+            ' "ehr": {"macro": 1.0, "micro": 1.0, "per_class": {"currency_amount": {"hits": 1, "n": 1, "rate": 1.0},'
+            ' "digit_run": {"hits": 1, "n": 1, "rate": 1.0}}}, "holdout": "holdout", "language": "te", "n": 3,'
+            ' "normalization": "default", "sfr": {"in_block_count": 34, "letter_count": 34, "value": 1.0},'
+            ' "system": "modelA", "unmatched_prediction_ids": [], "unmatched_row_ids": [],'
+            ' "wer": {"distance": 3, "rate": 0.3, "reference_length": 10}}\n'
+        ),
+        "csv": (
+            "system,holdout,language,n,wer,cer,sfr,ehr_micro,ehr_macro,ehr[currency_amount],ehr[digit_run]\n"
+            "modelA,holdout,te,3,0.3,0.25,1.0,1.0,1.0,1.0,1.0\n"
+        ),
+    }
+    for fmt, text in expected.items():
+        assert run(
+            "score", "--holdout", holdout_path, "--predictions", preds_path, "--lang", "te",
+            "--currency-mode", "bidirectional",
+            "--out", str(tmp_path / "c.json"), "--detail", str(tmp_path / "d.jsonl"),
+            "--format", fmt,
+        ) == 0
+        assert capsys.readouterr().out == text
+
+
 @pytest.mark.parametrize("existing", [False, True])
 def test_score_writes_no_scorecard_when_the_detail_cannot_be_written(
     tmp_path, holdout_path, preds_path, existing, capsys
@@ -340,6 +372,32 @@ def test_diagnose_sfr_values(capsys):
     assert "apply_adaptation" in capsys.readouterr().out
 
 
+def test_diagnose_prints_each_format_in_full(capsys):
+    expected = {
+        "table": (
+            "language: te\n"
+            "  a: SFR 0.701 (below)\n"
+            "  b: SFR 0.462 (below)\n"
+            "  c: SFR 0.712 (below)\n"
+            "verdict: apply_adaptation\n"
+        ),
+        "records": (
+            '{"language": "te", "per_holdout_sfr": {"a": 0.701, "b": 0.462, "c": 0.712},'
+            ' "verdict": "apply_adaptation"}\n'
+        ),
+        "csv": (
+            "language,holdout,sfr,verdict\n"
+            "te,a,0.701,apply_adaptation\n"
+            "te,b,0.462,apply_adaptation\n"
+            "te,c,0.712,apply_adaptation\n"
+        ),
+    }
+    for fmt, text in expected.items():
+        argv = ["--sfr", "a=0.701", "--sfr", "b=0.462", "--sfr", "c=0.712", "--format", fmt]
+        assert run("diagnose", "--lang", "te", *argv) == 0
+        assert capsys.readouterr().out == text
+
+
 def test_diagnose_from_transcripts(tmp_path, capsys):
     te = tmp_path / "te.txt"
     te.write_text("నమస్కారం\nఅంతా బాగుంది\n", encoding="utf-8")
@@ -395,7 +453,8 @@ def test_diagnose_records_format(capsys):
 # compare
 # ---------------------------------------------------------------------------
 
-def test_compare_two_scorecards(tmp_path, holdout_path, jsonl_writer, capsys):
+def score_base_and_cand(tmp_path, holdout_path, jsonl_writer):
+    """Scorecards of a perfect system `base` and a worse one `cand`."""
     base_preds = jsonl_writer(
         "base.jsonl",
         [
@@ -417,11 +476,41 @@ def test_compare_two_scorecards(tmp_path, holdout_path, jsonl_writer, capsys):
             "score", "--holdout", holdout_path, "--predictions", preds, "--lang", "te",
             "--out", str(card), "--detail", str(tmp_path / "d.jsonl"),
         ) == 0
+    return base_card, cand_card
+
+
+def test_compare_two_scorecards(tmp_path, holdout_path, jsonl_writer, capsys):
+    base_card, cand_card = score_base_and_cand(tmp_path, holdout_path, jsonl_writer)
     capsys.readouterr()
     code = run("compare", "--baseline", str(base_card), str(cand_card))
     assert code == 0
     out = capsys.readouterr().out
     assert "cand" in out and "ΔWER" in out
+
+
+def test_compare_prints_each_format_in_full(tmp_path, holdout_path, jsonl_writer, capsys):
+    base_card, cand_card = score_base_and_cand(tmp_path, holdout_path, jsonl_writer)
+    capsys.readouterr()
+    expected = {
+        "table": (
+            "system    ΔWER    ΔCER    ΔSFR  ΔEHR(micro)  ΔEHR(macro)  EHR ratio\n"
+            "cand    +0.286  +0.275  +0.000       -1.000       -1.000       0.0x\n"
+            "(+WER/+CER = regression; +SFR/+EHR = improvement)\n"
+        ),
+        "records": (
+            '{"baseline": "base", "deltas": {"cer": 0.275, "ehr_macro": -1.0, "ehr_micro": -1.0, "sfr": 0.0,'
+            ' "wer": 0.2857142857142857}, "ehr_micro_ratio": 0.0, "holdout": "holdout", "language": "te",'
+            ' "system": "cand", "values": {"cer": 0.275, "ehr_macro": 0.0, "ehr_micro": 0.0, "sfr": 1.0,'
+            ' "wer": 0.2857142857142857}}\n'
+        ),
+        "csv": (
+            "system,baseline,delta_wer,delta_cer,delta_sfr,delta_ehr_micro,delta_ehr_macro,ehr_micro_ratio\n"
+            "cand,base,0.2857142857142857,0.275,0.0,-1.0,-1.0,0.0\n"
+        ),
+    }
+    for fmt, text in expected.items():
+        assert run("compare", "--baseline", str(base_card), str(cand_card), "--format", fmt) == 0
+        assert capsys.readouterr().out == text
 
 
 def test_compare_mismatched_holdouts_exit_2(tmp_path, capsys):
@@ -618,8 +707,12 @@ def test_pipeline_validate_merges_overlapping_entity_spans(jsonl_writer, capsys)
         "id": "jh", "text": "మేము Jubilee Hills లో ఉన్నాము సరే", "language": "te", "corpus_class": "proper_nouns",
         "entity_tokens": [{"surface": "Jubilee Hills", "class": "proper_noun"}, {"surface": "Hills", "class": "proper_noun"}],
     }
-    assert run("pipeline", "validate", "--manifest", jsonl_writer("v.jsonl", [row])) == 0
+    manifest = jsonl_writer("v.jsonl", [row])
+    assert run("pipeline", "validate", "--manifest", manifest) == 0
     assert "1 of 1 rows clean, 0 violations" in capsys.readouterr().out
+    for fmt in ("records", "csv"):  # no violation is no line, not even a CSV header
+        assert run("pipeline", "validate", "--manifest", manifest, "--format", fmt) == 0
+        assert capsys.readouterr().out == ""
 
 
 def test_pipeline_validate_prints_each_format_in_full(jsonl_writer, capsys):
