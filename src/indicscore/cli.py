@@ -52,21 +52,25 @@ def _dump_json(record: dict) -> str:
     return json.dumps(record, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
 
 
-def _print_records(records: list[dict]) -> None:
-    for record in records:
-        print(json.dumps(record, ensure_ascii=False, sort_keys=True))
+def _emit(fmt: str, table: str, records, rows=None) -> None:
+    """Print a verb's result as ``--format`` ``fmt`` asks: the ``table`` text,
+    ``records`` as sorted-key JSON lines, or ``rows`` (else ``records``) as CSV
+    headed by the first row's keys. Each iterable is read only in its own format."""
+    if fmt == "table":
+        print(table)
+    elif fmt == "records":
+        for record in records:
+            print(json.dumps(record, ensure_ascii=False, sort_keys=True))
+    else:
+        rows = list(records if rows is None else rows)
+        if rows:  # no rows, no header
+            import csv
 
-
-def _print_csv(rows: list[dict]) -> None:
-    if not rows:
-        return
-    import csv
-
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=list(rows[0].keys()), lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    print(buffer.getvalue(), end="")
+            buffer = io.StringIO()
+            writer = csv.DictWriter(buffer, fieldnames=list(rows[0]), lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+            print(buffer.getvalue(), end="")
 
 
 def _warn(source: str, message: str) -> None:
@@ -87,7 +91,7 @@ def _flatten_scorecard(record: dict) -> dict:
     return flat
 
 
-def cmd_score(args: argparse.Namespace) -> int:
+def cmd_score(args: argparse.Namespace) -> None:
     from . import scorecard
     from .matchers import AliasTable, ScoringConfig
     from .numbers import load_lexicon
@@ -169,13 +173,7 @@ def cmd_score(args: argparse.Namespace) -> int:
         card_file.handle.write(_dump_json(record))
         detail_file.handle.write("\n".join(detail_lines) + ("\n" if detail_lines else ""))
 
-    if args.format == "table":
-        print(scorecard.render_scorecard(card))
-    elif args.format == "records":
-        _print_records([record])
-    else:
-        _print_csv([_flatten_scorecard(record)])
-    return EXIT_OK
+    _emit(args.format, scorecard.render_scorecard(card), [record], [_flatten_scorecard(record)])
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +187,7 @@ def _parse_named_value(option: str) -> tuple[str, str]:
     return name, value
 
 
-def cmd_diagnose(args: argparse.Namespace) -> int:
+def cmd_diagnose(args: argparse.Namespace) -> None:
     from . import scorecard
 
     per_holdout: dict[str, float] = {}
@@ -209,26 +207,16 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
             raise DataError(f"transcript file {path} has no letters; SFR undefined")
         per_holdout[name] = pooled
     verdict = scorecard.diagnose(per_holdout, args.lang)
-    if args.format == "records":
-        _print_records(
-            [
-                {
-                    "language": verdict.language,
-                    "per_holdout_sfr": verdict.per_holdout_sfr,
-                    "verdict": verdict.verdict,
-                }
-            ]
-        )
-    elif args.format == "csv":
-        _print_csv(
-            [
-                {"language": verdict.language, "holdout": name, "sfr": value, "verdict": verdict.verdict}
-                for name, value in verdict.per_holdout_sfr.items()
-            ]
-        )
-    else:
-        print(scorecard.render_verdict(verdict))
-    return EXIT_OK
+    language, sfrs, decision = verdict.language, verdict.per_holdout_sfr, verdict.verdict
+    _emit(
+        args.format,
+        scorecard.render_verdict(verdict),
+        [{"language": language, "per_holdout_sfr": sfrs, "verdict": decision}],
+        [
+            {"language": language, "holdout": name, "sfr": value, "verdict": decision}
+            for name, value in sfrs.items()
+        ],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -255,41 +243,37 @@ def _load_scorecard_record(path: str) -> dict:
     return record
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
+def cmd_compare(args: argparse.Namespace) -> None:
     from . import scorecard
 
     baseline = _load_scorecard_record(args.baseline)
     candidates = [_load_scorecard_record(p) for p in args.scorecards]
     comparisons = scorecard.compare_records(baseline, candidates)
-    if args.format == "records":
-        _print_records(comparisons)
-    elif args.format == "csv":
-        _print_csv(
-            [
-                {
-                    "system": comp["system"],
-                    "baseline": comp["baseline"],
-                    **{f"delta_{k}": v for k, v in comp["deltas"].items()},
-                    "ehr_micro_ratio": comp["ehr_micro_ratio"],
-                }
-                for comp in comparisons
-            ]
-        )
-    else:
-        print(scorecard.render_comparison(comparisons))
-    return EXIT_OK
+    _emit(
+        args.format,
+        scorecard.render_comparison(comparisons),
+        comparisons,
+        (
+            {
+                "system": comp["system"],
+                "baseline": comp["baseline"],
+                **{f"delta_{k}": v for k, v in comp["deltas"].items()},
+                "ehr_micro_ratio": comp["ehr_micro_ratio"],
+            }
+            for comp in comparisons
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
 # pipeline
 # ---------------------------------------------------------------------------
 
-def cmd_pipeline(args: argparse.Namespace) -> int:
-    # The steps live in their own module, which score, diagnose and compare
-    # never load.
+def cmd_pipeline(args: argparse.Namespace) -> None:
+    # The steps live in their own module, which score, diagnose and compare never load.
     from . import pipeline_cli
 
-    return getattr(pipeline_cli, "cmd_pipeline_" + args.step.replace("-", "_"))(args)
+    getattr(pipeline_cli, "cmd_pipeline_" + args.step.replace("-", "_"))(args)
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +370,8 @@ def main(argv: list[str] | None = None) -> int:
         # raised by --help (0) and by _Parser.error (1)
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        args.func(args)  # a verb fails by raising; it returns nothing
+        return EXIT_OK
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

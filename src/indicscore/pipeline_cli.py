@@ -17,7 +17,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from .cli import EXIT_OK, _parse_named_value, _print_csv, _print_records, _warn
+from .cli import _emit, _parse_named_value, _warn
 from .errors import ConfigurationError, DataError
 from .manifest import (
     ValidationConfig,
@@ -233,7 +233,7 @@ def _stop(running: set[int]) -> None:
             os.waitpid(pid, 0)
 
 
-def cmd_pipeline_route(args: argparse.Namespace) -> int:
+def cmd_pipeline_route(args: argparse.Namespace) -> None:
     from . import pipeline
 
     def route(rows, outputs):
@@ -257,10 +257,9 @@ def cmd_pipeline_route(args: argparse.Namespace) -> int:
         return dict(counts)
 
     print(pipeline.render_distribution(_run(args.manifest, route, args.out)))
-    return EXIT_OK
 
 
-def cmd_pipeline_filter(args: argparse.Namespace) -> int:
+def cmd_pipeline_filter(args: argparse.Namespace) -> None:
     from . import pipeline
 
     def gate(rows, outputs):
@@ -281,10 +280,9 @@ def cmd_pipeline_filter(args: argparse.Namespace) -> int:
         f"accepted {accepted_count}  rejected {rejected_count}"
         f"  (threshold {format_value(args.threshold)})"
     )
-    return EXIT_OK
 
 
-def cmd_pipeline_split(args: argparse.Namespace) -> int:
+def cmd_pipeline_split(args: argparse.Namespace) -> None:
     from . import pipeline
 
     def split(rows, outputs):
@@ -303,10 +301,9 @@ def cmd_pipeline_split(args: argparse.Namespace) -> int:
         _warn("pipeline", "training split is empty")
     print(f"train {train_count}  heldout {heldout_count}")
     print(pipeline.render_distribution(counts))
-    return EXIT_OK
 
 
-def cmd_pipeline_balance(args: argparse.Namespace) -> int:
+def cmd_pipeline_balance(args: argparse.Namespace) -> None:
     from . import pipeline
 
     # Two reads of the manifest: ids and classes pick the rows, then the
@@ -331,10 +328,9 @@ def cmd_pipeline_balance(args: argparse.Namespace) -> int:
     for corpus_class in sorted(kept):
         print(f"{corpus_class}: {kept[corpus_class]}")
     print(f"kept {count} of {total} rows")
-    return EXIT_OK
 
 
-def cmd_pipeline_validate(args: argparse.Namespace) -> int:
+def cmd_pipeline_validate(args: argparse.Namespace) -> None:
     config = ValidationConfig(purity_threshold=args.purity_threshold)
 
     def validate(rows, outputs):
@@ -350,21 +346,16 @@ def cmd_pipeline_validate(args: argparse.Namespace) -> int:
         return clean, total, found
 
     clean, total, found = _run(args.manifest, validate)
-    if args.format == "table":
-        # one write: each print to an unbuffered stdout is a write of its own
-        lines = [f"{row_id}: {kind}: {detail}\n" for row_id, kind, detail in found]
-        lines.append(f"{clean} of {total} rows clean, {len(found)} violations\n")
-        sys.stdout.write("".join(lines))
-        return EXIT_OK
-    records = [{"id": row_id, "kind": kind, "detail": detail} for row_id, kind, detail in found]
-    if args.format == "records":
-        _print_records(records)
-    else:
-        _print_csv(records)
-    return EXIT_OK
+    lines = [f"{row_id}: {kind}: {detail}" for row_id, kind, detail in found]
+    lines.append(f"{clean} of {total} rows clean, {len(found)} violations")
+    _emit(
+        args.format,
+        "\n".join(lines),
+        ({"id": row_id, "kind": kind, "detail": detail} for row_id, kind, detail in found),
+    )
 
 
-def cmd_pipeline_rewrite_digits(args: argparse.Namespace) -> int:
+def cmd_pipeline_rewrite_digits(args: argparse.Namespace) -> None:
     from .numbers import load_language_table, rewrite_digit_runs
 
     def rewrite(rows, outputs):
@@ -383,4 +374,3 @@ def cmd_pipeline_rewrite_digits(args: argparse.Namespace) -> int:
 
     changed, count = _run(args.manifest, rewrite, args.out)
     print(f"rewrote digit runs in {changed} of {count} rows ({args.mode})")
-    return EXIT_OK
