@@ -465,17 +465,19 @@ def rewrite_digit_runs(text: str, table: MultiplierTable, mode: str = "grouped")
     ``grouped`` spells the run's value under Indian grouping, a Western- or
     Indian-grouped numeral ("50,000", "7,00,00,000") counting as one run;
     ``digit_by_digit`` emits one unit word per digit. Single digits become
-    unit words in both modes. Runs with leading zeros ("054") are spelled
+    unit words in both modes. Runs with leading zeros ("054") and the
+    digits after a decimal point ("2.50", but not "Rs.500") are spelled
     digit by digit even in grouped mode, since their value would silently
-    drop the zeros. A grouped run of 10**12 or more cannot be spelled and
-    raises DataError.
+    drop the zeros or misread the fraction. A grouped run of 10**12 or more
+    cannot be spelled and raises DataError.
     """
     if mode not in REWRITE_MODES:
         raise ConfigurationError(f"unknown rewrite mode {mode!r}; expected one of {REWRITE_MODES}")
 
     def replace(match: re.Match[str]) -> str:
-        run = match.group().replace(",", "")
-        if mode == "digit_by_digit" or len(run) == 1 or run[0] == "0":
+        run, text, start = match.group().replace(",", ""), match.string, match.start()
+        fraction = text[start - 1 : start] == "." and "0" <= text[start - 2 : start - 1] <= "9"
+        if mode == "digit_by_digit" or len(run) == 1 or run[0] == "0" or fraction:
             return " ".join(_spelling_word(table, int(d), "unit") for d in run)
         if int(run) >= _SPELL_LIMIT:
             raise DataError(f"digit run {match.group()} is too long to spell in grouped mode")

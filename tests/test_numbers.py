@@ -366,6 +366,15 @@ def test_rewrite_grouped():
     )
 
 
+def test_rewrite_grouped_spells_the_digits_after_a_decimal_point_one_by_one():
+    assert rewrite_digit_runs("pay ₹2.50 now", EN) == "pay ₹two.five zero now"
+    assert rewrite_digit_runs("₹2.50", HI) == "₹दो.पाँच शून्य"
+    assert rewrite_digit_runs("pi 3.14159", EN) == "pi three.one four one five nine"
+    # a point after no digit starts no fraction
+    assert rewrite_digit_runs("Rs.500", EN) == "Rs.five hundred"
+    assert rewrite_digit_runs("paid .50", EN) == "paid .fifty"
+
+
 def test_rewrite_single_digits_always_unit_words():
     assert rewrite_digit_runs("room 5", EN) == "room five"
     assert rewrite_digit_runs("room 5", EN, "digit_by_digit") == "room five"
@@ -401,7 +410,7 @@ def test_rewrite_huge_run_grouped_rejected():
     ("05,000", "grouped", "zero five,zero zero zero"),  # a leading-zero group
     ("1,2,3", "grouped", "one,two,three"),  # a malformed grouping
     ("1,234,5678", "grouped", "one,two hundred thirty-four,five thousand six hundred seventy-eight"),
-    ("1,500.50", "grouped", "one,five hundred.fifty"),  # a decimal
+    ("1,500.50", "grouped", "one,five hundred.five zero"),  # a decimal
     ("12.1,000", "grouped", "twelve.one,zero zero zero"),
     ("50,000", "digit_by_digit", "five zero,zero zero zero"),
 ])
