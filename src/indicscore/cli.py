@@ -180,16 +180,22 @@ def cmd_score(args: argparse.Namespace) -> None:
 # diagnose
 # ---------------------------------------------------------------------------
 
-def _parse_named_value(option: str) -> tuple[str, str]:
+def _parse_named_value(option: str, taken=()) -> tuple[str, str]:
+    """The NAME and VALUE of a NAME=VALUE option whose NAME is not in ``taken``."""
     name, sep, value = option.partition("=")
     if not sep or not name or not value:
         raise ConfigurationError(f"expected NAME=VALUE, got {option!r}")
+    if name in taken:
+        raise ConfigurationError(f"name {name!r} is given twice")
     return name, value
 
 
 def cmd_diagnose(args: argparse.Namespace) -> None:
     from . import scorecard
 
+    names: set[str] = set()  # each holdout once, checked before any file is read
+    for option in (args.sfr or []) + (args.transcripts or []):
+        names.add(_parse_named_value(option, names)[0])
     per_holdout: dict[str, float] = {}
     for option in args.sfr or ():
         name, raw = _parse_named_value(option)

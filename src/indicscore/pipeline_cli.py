@@ -32,7 +32,7 @@ from .textnorm import format_value
 def _parse_weights(raw: str) -> dict[str, float]:
     weights: dict[str, float] = {}
     for part in raw.split(","):
-        name, raw = _parse_named_value(part.strip())
+        name, raw = _parse_named_value(part.strip(), weights)
         try:
             weights[name] = float(raw)
         except ValueError:

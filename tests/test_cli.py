@@ -421,6 +421,34 @@ def test_diagnose_non_utf8_transcripts_names_file_and_line(tmp_path, capsys):
     assert f"{bad}: line 2: not valid UTF-8" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("\n  \n", "is empty"),
+    ("123 456\n!!\n", "has no letters; SFR undefined"),
+])
+def test_diagnose_transcripts_without_letters_exit_2(tmp_path, text, message, capsys):
+    te = tmp_path / "te.txt"
+    te.write_text("నమస్కారం\n", encoding="utf-8")
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text, encoding="utf-8")
+    assert run("diagnose", "--lang", "te", "--transcripts", f"a={te}", "--transcripts", f"b={bad}") == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"data error: transcript file {bad} {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("options", [
+    ("--sfr", "a=0.1", "--sfr", "a=0.9", "--sfr", "b=0.3"),
+    ("--sfr", "a=0.9", "--sfr", "a=0.1", "--sfr", "b=0.3"),
+    ("--sfr", "a=0.1", "--sfr", "b=0.3", "--transcripts", "a=absent.txt"),
+    ("--transcripts", "a=absent.txt", "--transcripts", "a=absent.txt", "--sfr", "b=0.3"),
+])
+def test_diagnose_repeated_holdout_name_exits_1_before_any_file_is_read(options, capsys):
+    assert run("diagnose", "--lang", "te", *options) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "configuration error: name 'a' is given twice\n"
+    assert captured.out == ""
+
+
 def test_diagnose_single_holdout_exits_1(capsys):
     assert run("diagnose", "--lang", "te", "--sfr", "a=0.5") == 1
     assert "configuration error" in capsys.readouterr().err
@@ -821,6 +849,16 @@ def test_pipeline_route_nan_weight_exits_1(tmp_path, manifest_path, capsys):
     assert run("pipeline", "route", "--manifest", manifest_path, "--out", str(out), "--weights", weights) == 1
     captured = capsys.readouterr()
     assert "configuration error: weight nan for backend 'praxy'" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_pipeline_route_repeated_weight_name_exits_1(tmp_path, manifest_path, capsys):
+    out = tmp_path / "routed.jsonl"
+    weights = "praxy=0.3,praxy=0.6,elevenlabs=0.4"
+    assert run("pipeline", "route", "--manifest", manifest_path, "--out", str(out), "--weights", weights) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "configuration error: name 'praxy' is given twice\n"
     assert captured.out == ""
     assert not out.exists()
 

@@ -475,6 +475,14 @@ def test_load_lexicon_reports_all_problems(tmp_path):
     assert "line 2" in message and "line 3" in message and "line 4" in message
 
 
+def test_load_lexicon_names_an_unknown_script(tmp_path):
+    path = tmp_path / "bad.tsv"
+    path.write_text("five\t5\tunit\tlatin\nsix\t6\tunit\tcyrillic\n", encoding="utf-8")
+    with pytest.raises(DataError) as exc:
+        load_lexicon(str(path), "xx")
+    assert exc.value.details == ["line 2: unknown script 'cyrillic'; expected one of ('latin', 'native')"]
+
+
 def test_table_rejects_duplicate_words():
     with pytest.raises(ConfigurationError):
         MultiplierTable.from_entries(
