@@ -284,6 +284,101 @@ def test_score_prints_each_format_in_full(tmp_path, holdout_path, preds_path, ca
         assert capsys.readouterr().out == text
 
 
+PIN_ROWS = [
+    {"id": "r1", "text": "పిన్ కోడ్ 500081 పంపండి", "language": "te", "entity_class": "digits",
+     "entity_tokens": ["500081"]},
+    {"id": "r2", "text": "మొత్తం ₹500 మాత్రమే", "language": "te",
+     "entity_tokens": [{"surface": "₹500", "class": "currency_amount"}]},
+    {"id": "r3", "text": "నమస్కారం అంతే సరే", "language": "te"},  # no entity tokens
+    {"id": "r4", "text": "ఇది ఊహించలేదు", "language": "te"},  # no prediction
+]
+PIN_PREDS = [
+    {"id": "r1", "hypothesis": "పిన్ కోడ్ 500081 పంపండి", "system": "మోడల్"},
+    {"id": "r2", "hypothesis": "500", "system": "మోడల్"},  # no letters: SFR undefined
+    {"id": "r3", "hypothesis": "నమస్కారం సరే", "system": "మోడల్"},
+]
+
+
+def score_pin_fixture(tmp_path, jsonl_writer):
+    card, detail = tmp_path / "pin.json", tmp_path / "pin.jsonl"
+    assert run(
+        "score", "--holdout", jsonl_writer("pin_holdout.jsonl", PIN_ROWS),
+        "--predictions", jsonl_writer("pin_preds.jsonl", PIN_PREDS), "--lang", "te",
+        "--out", str(card), "--detail", str(detail),
+    ) == 0
+    return card, detail
+
+
+def test_score_writes_the_exact_scorecard_and_detail_bytes(tmp_path, jsonl_writer, capsys):
+    card, detail = score_pin_fixture(tmp_path, jsonl_writer)
+    assert card.read_bytes().decode("utf-8") == """\
+{
+  "cer": {
+    "distance": 21,
+    "rate": 0.3559322033898305,
+    "reference_length": 59
+  },
+  "currency_mode": "strict",
+  "ehr": {
+    "macro": 1.0,
+    "micro": 1.0,
+    "per_class": {
+      "currency_amount": {
+        "hits": 1,
+        "n": 1,
+        "rate": 1.0
+      },
+      "digit_run": {
+        "hits": 1,
+        "n": 1,
+        "rate": 1.0
+      }
+    }
+  },
+  "holdout": "pin_holdout",
+  "language": "te",
+  "n": 3,
+  "normalization": "default",
+  "sfr": {
+    "in_block_count": 14,
+    "letter_count": 14,
+    "value": 1.0
+  },
+  "system": "మోడల్",
+  "unmatched_prediction_ids": [],
+  "unmatched_row_ids": [
+    "r4"
+  ],
+  "wer": {
+    "distance": 3,
+    "rate": 0.3,
+    "reference_length": 10
+  }
+}
+"""
+    assert detail.read_bytes().decode("utf-8") == (
+        '{"cer": 0.0, "entities": [{"detail": "run 500081 present", "hit": true, "matcher_class": "digit_run",'
+        ' "surface": "500081"}], "id": "r1", "sfr": 1.0, "wer": 0.0}\n'
+        '{"cer": 0.8421052631578947, "entities": [{"detail": "surface recovered verbatim", "hit": true,'
+        ' "matcher_class": "currency_amount", "surface": "₹500"}], "id": "r2", "sfr": null,'
+        ' "wer": 0.6666666666666666}\n'
+        '{"cer": 0.29411764705882354, "entities": [], "id": "r3", "sfr": 1.0, "wer": 0.3333333333333333}\n'
+    )
+
+
+def test_a_written_scorecard_reads_back_as_its_record(tmp_path, jsonl_writer, capsys):
+    from indicscore.corpus import load_holdout, load_predictions
+    from indicscore.matchers import ScoringConfig
+    from indicscore.scorecard import score_predictions, scorecard_record
+
+    card_path, _ = score_pin_fixture(tmp_path, jsonl_writer)
+    card, _ = score_predictions(
+        load_holdout(tmp_path / "pin_holdout.jsonl"), load_predictions(tmp_path / "pin_preds.jsonl"),
+        language="te", system="మోడల్", holdout_name="pin_holdout", config=ScoringConfig(language="te"),
+    )
+    assert cli_module._load_scorecard_record(str(card_path)) == scorecard_record(card)
+
+
 @pytest.mark.parametrize("existing", [False, True])
 def test_score_writes_no_scorecard_when_the_detail_cannot_be_written(
     tmp_path, holdout_path, preds_path, existing, capsys
