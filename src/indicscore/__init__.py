@@ -38,8 +38,8 @@ _EXPORTS = {
     ),
     "scorecard": (
         "DiagnosticVerdict", "Scorecard", "UtteranceDetail", "compare_records", "diagnose",
-        "render_comparison", "render_scorecard", "render_verdict", "score_predictions",
-        "scorecard_record",
+        "flatten_scorecard", "load_scorecard_record", "render_comparison", "render_scorecard",
+        "render_verdict", "score_predictions", "scorecard_record", "write_score_outputs",
     ),
     "textnorm": (
         "CURRENCY_MODES", "DEFAULT_NORM", "STRICT_NORM", "NormConfig", "casefold_normalize",

@@ -48,10 +48,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _dump_json(record: dict) -> str:
-    return json.dumps(record, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
-
-
 def _emit(fmt: str, table: str, records, rows=None) -> None:
     """Print a verb's result as ``--format`` ``fmt`` asks: the ``table`` text,
     ``records`` as sorted-key JSON lines, or ``rows`` (else ``records``) as CSV
@@ -80,16 +76,6 @@ def _warn(source: str, message: str) -> None:
 # ---------------------------------------------------------------------------
 # score
 # ---------------------------------------------------------------------------
-
-def _flatten_scorecard(record: dict) -> dict:
-    from . import scorecard
-
-    flat = {key: record[key] for key in ("system", "holdout", "language", "n")}
-    flat.update(scorecard._metric_values(record))
-    for cls, tally in record["ehr"]["per_class"].items():
-        flat[f"ehr[{cls}]"] = tally["rate"]
-    return flat
-
 
 def cmd_score(args: argparse.Namespace) -> None:
     from . import scorecard
@@ -143,37 +129,13 @@ def cmd_score(args: argparse.Namespace) -> None:
         )
     record = scorecard.scorecard_record(card)
 
-    out_path = args.out or Path(args.predictions).with_suffix(".scorecard.json")
-    detail_path = args.detail or Path(args.predictions).with_suffix(".detail.jsonl")
-    detail_lines = []
-    for detail in details:
-        detail_lines.append(
-            json.dumps(
-                {
-                    "id": detail.id,
-                    "wer": detail.wer.rate,
-                    "cer": detail.cer.rate,
-                    "sfr": detail.sfr.value,
-                    "entities": [
-                        {
-                            "surface": m.surface,
-                            "matcher_class": m.matcher_class,
-                            "hit": m.hit,
-                            "detail": m.detail,
-                        }
-                        for m in detail.matches
-                    ],
-                },
-                ensure_ascii=False,
-                sort_keys=True,
-            )
-        )
-    # both files are renamed into place only once both are written
-    with corpus.replacing(out_path, detail_path) as (card_file, detail_file):
-        card_file.handle.write(_dump_json(record))
-        detail_file.handle.write("\n".join(detail_lines) + ("\n" if detail_lines else ""))
-
-    _emit(args.format, scorecard.render_scorecard(card), [record], [_flatten_scorecard(record)])
+    scorecard.write_score_outputs(
+        record,
+        details,
+        args.out or Path(args.predictions).with_suffix(".scorecard.json"),
+        args.detail or Path(args.predictions).with_suffix(".detail.jsonl"),
+    )
+    _emit(args.format, scorecard.render_scorecard(card), [record], [scorecard.flatten_scorecard(record)])
 
 
 # ---------------------------------------------------------------------------
@@ -229,31 +191,11 @@ def cmd_diagnose(args: argparse.Namespace) -> None:
 # compare
 # ---------------------------------------------------------------------------
 
-def _load_scorecard_record(path: str) -> dict:
-    from . import scorecard
-
-    try:
-        record = json.loads(read_utf8(path))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"scorecard {path} is not valid JSON ({exc.msg})") from exc
-    try:
-        values = scorecard._metric_values(record).values()
-        valid = all(v is None or type(v) in (int, float) for v in values)
-    except (KeyError, TypeError):
-        valid = False
-    if not valid:
-        raise DataError(
-            f"scorecard {path} needs a number or null at each of wer.rate, cer.rate,"
-            " sfr.value, ehr.micro and ehr.macro"
-        )
-    return record
-
-
 def cmd_compare(args: argparse.Namespace) -> None:
     from . import scorecard
 
-    baseline = _load_scorecard_record(args.baseline)
-    candidates = [_load_scorecard_record(p) for p in args.scorecards]
+    baseline = scorecard.load_scorecard_record(args.baseline)
+    candidates = [scorecard.load_scorecard_record(p) for p in args.scorecards]
     comparisons = scorecard.compare_records(baseline, candidates)
     _emit(
         args.format,

@@ -8,11 +8,13 @@ byte-identical reports.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+import json
+from pathlib import Path
+from typing import Iterable, Mapping, Sequence
 
-from .corpus import HoldoutRow, Prediction
+from .corpus import HoldoutRow, Prediction, replacing
 from .distance import ErrorRate, cer, wer
-from .errors import ConfigurationError, DataError
+from .errors import ConfigurationError, DataError, read_utf8
 from .matchers import EhrReport, MatchResult, ScoringConfig, aggregate_ehr, score_utterance
 from .record import Record
 from .script import SfrResult, aggregate_sfr, sfr
@@ -114,7 +116,7 @@ def score_predictions(
 
 
 # ---------------------------------------------------------------------------
-# Rendering and records
+# Records, score files and rendering
 # ---------------------------------------------------------------------------
 
 def scorecard_record(card: Scorecard) -> dict:
@@ -152,6 +154,59 @@ def scorecard_record(card: Scorecard) -> dict:
         "currency_mode": card.currency_mode,
         "normalization": card.normalization,
     }
+
+
+def flatten_scorecard(record: dict) -> dict:
+    """A scorecard record as one CSV row: its headline figures and each class's EHR."""
+    flat = {key: record[key] for key in ("system", "holdout", "language", "n")}
+    flat.update(_metric_values(record))
+    for cls, tally in record["ehr"]["per_class"].items():
+        flat[f"ehr[{cls}]"] = tally["rate"]
+    return flat
+
+
+def _detail_record(detail: UtteranceDetail) -> dict:
+    """One row of the detail file: the row's rates and every match decision."""
+    return {
+        "id": detail.id,
+        "wer": detail.wer.rate,
+        "cer": detail.cer.rate,
+        "sfr": detail.sfr.value,
+        "entities": [
+            {"surface": m.surface, "matcher_class": m.matcher_class, "hit": m.hit, "detail": m.detail}
+            for m in detail.matches
+        ],
+    }
+
+
+def write_score_outputs(
+    record: dict, details: Iterable[UtteranceDetail], card_path: str | Path, detail_path: str | Path
+) -> None:
+    """Write a scorecard record as sorted-key JSON and each detail as one sorted-key
+    JSON line; both files are renamed into place only once both are written."""
+    with replacing(card_path, detail_path) as (card_file, detail_file):
+        card_file.handle.write(json.dumps(record, ensure_ascii=False, sort_keys=True, indent=2) + "\n")
+        for detail in details:
+            detail_file.handle.write(json.dumps(_detail_record(detail), ensure_ascii=False, sort_keys=True) + "\n")
+
+
+def load_scorecard_record(path: str | Path) -> dict:
+    """Read back a scorecard record; a file that is not one is a ``DataError``
+    naming the path."""
+    try:
+        record = json.loads(read_utf8(path))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"scorecard {path} is not valid JSON ({exc.msg})") from exc
+    try:
+        valid = all(v is None or type(v) in (int, float) for v in _metric_values(record).values())
+    except (KeyError, TypeError):
+        valid = False
+    if not valid:
+        raise DataError(
+            f"scorecard {path} needs a number or null at each of wer.rate, cer.rate,"
+            " sfr.value, ehr.micro and ehr.macro"
+        )
+    return record
 
 
 def render_scorecard(card: Scorecard) -> str:

@@ -369,14 +369,14 @@ def test_score_writes_the_exact_scorecard_and_detail_bytes(tmp_path, jsonl_write
 def test_a_written_scorecard_reads_back_as_its_record(tmp_path, jsonl_writer, capsys):
     from indicscore.corpus import load_holdout, load_predictions
     from indicscore.matchers import ScoringConfig
-    from indicscore.scorecard import score_predictions, scorecard_record
+    from indicscore.scorecard import load_scorecard_record, score_predictions, scorecard_record
 
     card_path, _ = score_pin_fixture(tmp_path, jsonl_writer)
     card, _ = score_predictions(
         load_holdout(tmp_path / "pin_holdout.jsonl"), load_predictions(tmp_path / "pin_preds.jsonl"),
         language="te", system="మోడల్", holdout_name="pin_holdout", config=ScoringConfig(language="te"),
     )
-    assert cli_module._load_scorecard_record(str(card_path)) == scorecard_record(card)
+    assert load_scorecard_record(card_path) == scorecard_record(card)
 
 
 @pytest.mark.parametrize("existing", [False, True])
