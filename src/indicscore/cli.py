@@ -7,7 +7,8 @@ Verbs:
   pipeline        corpus-construction steps (route, filter, split,
                   balance, validate, rewrite-digits)
 
-Exit codes: 0 success, 1 usage/configuration error, 2 data error.
+Exit codes: 0 success, 1 usage/configuration error, 2 data error, 141 when
+the reader of stdout closed it early.
 All output is deterministic: the same inputs produce byte-identical files.
 
 Each verb imports the modules it runs inside its own function, so that the
@@ -35,6 +36,7 @@ from .textnorm import CURRENCY_MODES, NORM_MODES, REWRITE_MODES, norm_config_fro
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
+EXIT_CLOSED_PIPE = 141  # 128 + SIGPIPE: how a shell reports a writer killed by it
 
 FORMATS = ("table", "records", "csv")
 
@@ -48,12 +50,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _emit(fmt: str, table: str, records, rows=None) -> None:
-    """Print a verb's result as ``--format`` ``fmt`` asks: the ``table`` text,
-    ``records`` as sorted-key JSON lines, or ``rows`` (else ``records``) as CSV
-    headed by the first row's keys. Each iterable is read only in its own format."""
+def _emit(fmt: str, table, records, rows=None) -> None:
+    """Print a verb's result as ``--format`` ``fmt`` asks: the text ``table()``
+    returns, ``records`` as sorted-key JSON lines, or ``rows`` (else ``records``)
+    as CSV headed by the first row's keys. Each argument is read only in its own format."""
     if fmt == "table":
-        print(table)
+        print(table())
     elif fmt == "records":
         for record in records:
             print(json.dumps(record, ensure_ascii=False, sort_keys=True))
@@ -135,7 +137,7 @@ def cmd_score(args: argparse.Namespace) -> None:
         args.out or Path(args.predictions).with_suffix(".scorecard.json"),
         args.detail or Path(args.predictions).with_suffix(".detail.jsonl"),
     )
-    _emit(args.format, scorecard.render_scorecard(card), [record], [scorecard.flatten_scorecard(record)])
+    _emit(args.format, lambda: scorecard.render_scorecard(card), [record], [scorecard.flatten_scorecard(record)])
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +180,7 @@ def cmd_diagnose(args: argparse.Namespace) -> None:
     language, sfrs, decision = verdict.language, verdict.per_holdout_sfr, verdict.verdict
     _emit(
         args.format,
-        scorecard.render_verdict(verdict),
+        lambda: scorecard.render_verdict(verdict),
         [{"language": language, "per_holdout_sfr": sfrs, "verdict": decision}],
         [
             {"language": language, "holdout": name, "sfr": value, "verdict": decision}
@@ -199,7 +201,7 @@ def cmd_compare(args: argparse.Namespace) -> None:
     comparisons = scorecard.compare_records(baseline, candidates)
     _emit(
         args.format,
-        scorecard.render_comparison(comparisons),
+        lambda: scorecard.render_comparison(comparisons),
         comparisons,
         (
             {
@@ -326,13 +328,26 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        raise  # a reader that closed stdout is not a data error; see entrypoint
     except (OSError, UnicodeDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 
 
 def entrypoint() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # so that a closed stdout shows here, not at interpreter exit
+    except BrokenPipeError:
+        # The reader closed stdout, as `| head` does. Every verb commits its
+        # output files before it prints, so end as a writer killed by SIGPIPE
+        # ends: silently. Later writes to stdout go nowhere.
+        import os
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_CLOSED_PIPE
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

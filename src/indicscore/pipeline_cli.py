@@ -346,11 +346,12 @@ def cmd_pipeline_validate(args: argparse.Namespace) -> None:
         return clean, total, found
 
     clean, total, found = _run(args.manifest, validate)
-    lines = [f"{row_id}: {kind}: {detail}" for row_id, kind, detail in found]
-    lines.append(f"{clean} of {total} rows clean, {len(found)} violations")
     _emit(
         args.format,
-        "\n".join(lines),
+        lambda: "\n".join(
+            [f"{row_id}: {kind}: {detail}" for row_id, kind, detail in found]
+            + [f"{clean} of {total} rows clean, {len(found)} violations"]
+        ),
         ({"id": row_id, "kind": kind, "detail": detail} for row_id, kind, detail in found),
     )
 

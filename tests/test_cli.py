@@ -872,6 +872,31 @@ def test_pipeline_validate_prints_each_format_in_full(jsonl_writer, capsys):
         assert capsys.readouterr().out == text
 
 
+@pytest.mark.parametrize("fmt, text", [("records", '{"a": "x"}\n'), ("csv", "a\nx\n")])
+def test_emit_renders_the_table_only_for_table_format(fmt, text, capsys):
+    def table():
+        raise AssertionError(f"table rendered for --format {fmt}")
+
+    cli_module._emit(fmt, table, iter([{"a": "x"}]))
+    assert capsys.readouterr().out == text
+
+
+def test_a_reader_closing_stdout_early_is_not_a_data_error(jsonl_writer):
+    rows = [{"id": f"r{i:05d}", "text": "ఒకటి", "language": "te", "corpus_class": "digits"} for i in range(4000)]
+    manifest = jsonl_writer("short.jsonl", rows)  # one 40-byte violation line per row: 160 KB, over a pipe's 64 KiB
+    src = str(Path(cli_module.__file__).resolve().parent.parent)
+    child = subprocess.Popen(
+        [sys.executable, "-m", "indicscore.cli", "pipeline", "validate", "--manifest", manifest],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)),
+    )
+    assert child.stdout.readline() == b"r00000: length: 1 tokens outside [3, 25]\n"
+    child.stdout.close()  # as `| head -1` does
+    _, err = child.communicate(timeout=120)
+    assert b"data error" not in err and b"Exception ignored" not in err, err
+    assert child.returncode == cli_module.EXIT_CLOSED_PIPE
+
+
 def test_pipeline_rewrite_digits(tmp_path, jsonl_writer, capsys):
     rows = [
         {"id": "r1", "text": "ఖాతాలో 500000 జమ", "language": "te", "corpus_class": "currency"},
