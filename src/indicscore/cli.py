@@ -7,8 +7,7 @@ Verbs:
   pipeline        corpus-construction steps (route, filter, split,
                   balance, validate, rewrite-digits)
 
-Exit codes: 0 success, 1 usage/configuration error, 2 data error, 141 when
-the reader of stdout closed it early.
+Exit codes: 0 success, 1 usage/configuration error, 2 data error, 141 stdout closed.
 All output is deterministic: the same inputs produce byte-identical files.
 
 Each verb imports the modules it runs inside its own function, so that the
@@ -24,6 +23,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -86,18 +86,14 @@ def cmd_score(args: argparse.Namespace) -> None:
 
     rows = corpus.load_holdout(args.holdout)
     predictions = corpus.load_predictions(args.predictions)
-    systems = sorted({p.system for p in predictions})
     if args.system is not None:
         predictions = [p for p in predictions if p.system == args.system]
         if not predictions:
             raise DataError(f"no predictions for system {args.system!r}")
-        system = args.system
-    elif len(systems) > 1:
-        raise DataError(
-            f"predictions file mixes systems {systems}; pick one with --system"
-        )
-    else:
-        system = systems[0] if systems else ""
+    systems = sorted({p.system for p in predictions})
+    if len(systems) > 1:
+        raise DataError(f"predictions file mixes systems {systems}; pick one with --system")
+    system = systems[0] if systems else ""
 
     aliases = AliasTable.from_file(args.aliases) if args.aliases else None
     tables = {args.lang: load_lexicon(args.lexicon, args.lang)} if args.lexicon else {}
@@ -322,15 +318,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args.func(args)  # a verb fails by raising; it returns nothing
         return EXIT_OK
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:
         raise  # a reader that closed stdout is not a data error; see entrypoint
-    except (OSError, UnicodeDecodeError) as exc:
+    except (DataError, OSError, UnicodeDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 
@@ -340,11 +333,8 @@ def entrypoint() -> None:
         code = main()
         sys.stdout.flush()  # so that a closed stdout shows here, not at interpreter exit
     except BrokenPipeError:
-        # The reader closed stdout, as `| head` does. Every verb commits its
-        # output files before it prints, so end as a writer killed by SIGPIPE
-        # ends: silently. Later writes to stdout go nowhere.
-        import os
-
+        # The reader closed stdout (`| head`) after every output file was committed:
+        # end silently, as a writer killed by SIGPIPE does, and send later writes nowhere.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = EXIT_CLOSED_PIPE
     raise SystemExit(code)

@@ -346,12 +346,10 @@ def cmd_pipeline_validate(args: argparse.Namespace) -> None:
         return clean, total, found
 
     clean, total, found = _run(args.manifest, validate)
+    summary = f"{clean} of {total} rows clean, {len(found)} violations"
     _emit(
         args.format,
-        lambda: "\n".join(
-            [f"{row_id}: {kind}: {detail}" for row_id, kind, detail in found]
-            + [f"{clean} of {total} rows clean, {len(found)} violations"]
-        ),
+        lambda: "\n".join([*(f"{row_id}: {kind}: {detail}" for row_id, kind, detail in found), summary]),
         ({"id": row_id, "kind": kind, "detail": detail} for row_id, kind, detail in found),
     )
 

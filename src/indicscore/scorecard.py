@@ -119,6 +119,10 @@ def score_predictions(
 # Records, score files and rendering
 # ---------------------------------------------------------------------------
 
+def _rate_record(rate: ErrorRate) -> dict:
+    return {"distance": rate.distance, "reference_length": rate.reference_length, "rate": rate.rate}
+
+
 def scorecard_record(card: Scorecard) -> dict:
     """JSON-safe record with full-precision values."""
     return {
@@ -126,16 +130,8 @@ def scorecard_record(card: Scorecard) -> dict:
         "holdout": card.holdout,
         "language": card.language,
         "n": card.n,
-        "wer": {
-            "distance": card.wer.distance,
-            "reference_length": card.wer.reference_length,
-            "rate": card.wer.rate,
-        },
-        "cer": {
-            "distance": card.cer.distance,
-            "reference_length": card.cer.reference_length,
-            "rate": card.cer.rate,
-        },
+        "wer": _rate_record(card.wer),
+        "cer": _rate_record(card.cer),
         "sfr": {
             "letter_count": card.sfr.letter_count,
             "in_block_count": card.sfr.in_block_count,
