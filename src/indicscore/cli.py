@@ -331,7 +331,8 @@ def main(argv: list[str] | None = None) -> int:
 def entrypoint() -> None:
     try:
         code = main()
-        sys.stdout.flush()  # so that a closed stdout shows here, not at interpreter exit
+        if sys.stdout is not None:  # None when the call started with stdout closed
+            sys.stdout.flush()  # so that a closed stdout shows here, not at interpreter exit
     except BrokenPipeError:
         # The reader closed stdout (`| head`) after every output file was committed:
         # end silently, as a writer killed by SIGPIPE does, and send later writes nowhere.

@@ -1,4 +1,4 @@
-"""Run-level scoring, the script-fidelity diagnostic, and system comparison.
+"""Run-level scoring and its files, the script-fidelity diagnostic, and system comparison.
 
 A scorecard aggregates one prediction set against one holdout: pooled WER
 and CER, pooled SFR, and entity hit rate with per-class tallies. All

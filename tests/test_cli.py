@@ -881,20 +881,31 @@ def test_emit_renders_the_table_only_for_table_format(fmt, text, capsys):
     assert capsys.readouterr().out == text
 
 
+def cli_child(*argv, **popen_options):
+    """The CLI's entry point in a fresh interpreter that imports this checkout's package."""
+    src = str(Path(cli_module.__file__).resolve().parent.parent)
+    return subprocess.Popen(
+        [sys.executable, "-m", "indicscore.cli", *argv], stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)),
+        **popen_options,
+    )
+
+
 def test_a_reader_closing_stdout_early_is_not_a_data_error(jsonl_writer):
     rows = [{"id": f"r{i:05d}", "text": "ఒకటి", "language": "te", "corpus_class": "digits"} for i in range(4000)]
     manifest = jsonl_writer("short.jsonl", rows)  # one 40-byte violation line per row: 160 KB, over a pipe's 64 KiB
-    src = str(Path(cli_module.__file__).resolve().parent.parent)
-    child = subprocess.Popen(
-        [sys.executable, "-m", "indicscore.cli", "pipeline", "validate", "--manifest", manifest],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)),
-    )
+    child = cli_child("pipeline", "validate", "--manifest", manifest, stdout=subprocess.PIPE)
     assert child.stdout.readline() == b"r00000: length: 1 tokens outside [3, 25]\n"
     child.stdout.close()  # as `| head -1` does
     _, err = child.communicate(timeout=120)
     assert b"data error" not in err and b"Exception ignored" not in err, err
     assert child.returncode == cli_module.EXIT_CLOSED_PIPE
+
+
+def test_a_call_started_with_stdout_closed_succeeds(manifest_path):
+    child = cli_child("pipeline", "validate", "--manifest", manifest_path, preexec_fn=lambda: os.close(1))
+    _, err = child.communicate(timeout=120)
+    assert (child.returncode, err) == (0, b"")
 
 
 def test_pipeline_rewrite_digits(tmp_path, jsonl_writer, capsys):
