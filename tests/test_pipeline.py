@@ -293,6 +293,22 @@ def test_render_distribution_table():
     assert lines[-1].split() == ["total", "1", "1", "2"]
 
 
+def test_render_distribution_table_bytes_with_unrouted_column():
+    rows = [
+        make_manifest_row(1, synth_system="praxy"),
+        make_manifest_row(2, synth_system="praxy"),
+        make_manifest_row(3, language="hi", synth_system="cartesia"),
+        make_manifest_row(4, language="ta"),
+    ]
+    assert render_distribution_table(rows) == (
+        "lang   praxy  cartesia  unrouted  total\n"
+        "hi         0         1         0      1\n"
+        "ta         0         0         1      1\n"
+        "te         2         0         0      2\n"
+        "total      2         1         1      4"
+    )
+
+
 # ---------------------------------------------------------------------------
 # Class balancing
 # ---------------------------------------------------------------------------
