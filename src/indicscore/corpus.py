@@ -103,12 +103,13 @@ def _built(cls: type, fields: dict):
 # ---------------------------------------------------------------------------
 
 def _iter_jsonl(
-    path: Path, problems: list[str], start: int = 0, stop: int | None = None
+    path: Path, what: str, problems: list[str], start: int = 0, stop: int | None = None
 ) -> Iterable[tuple[int, dict]]:
     # Lines end at b"\n" only: str.splitlines() would also break at the
     # U+2028 and U+0085 that manifest_line leaves unescaped. A byte range
     # [start, stop) begins a line and ends one; its line numbers count from
-    # its start.
+    # its start. After the last line, every problem found, the caller's
+    # included, is raised as one DataError naming the file as a ``what`` file.
     with open(path, "rb") as handle:
         if start:
             handle.seek(start)
@@ -138,6 +139,8 @@ def _iter_jsonl(
                 problems.append(f"line {lineno}: a string holds an unpaired surrogate escape")
                 continue
             yield lineno, record
+    if problems:
+        raise DataError(f"malformed {what} file {path}", problems)
 
 
 def _lines_within(handle, size: int) -> Iterator[bytes]:
@@ -231,7 +234,7 @@ def load_holdout(path: str | Path) -> list[HoldoutRow]:
     problems: list[str] = []
     rows: list[HoldoutRow] = []
     seen: dict[str, int] = {}
-    for lineno, record in _iter_jsonl(path, problems):
+    for lineno, record in _iter_jsonl(path, "holdout", problems):
         row_id = _required_str(record, "id", lineno, problems)
         text = _required_str(record, "text", lineno, problems)
         if row_id is None or text is None:
@@ -261,8 +264,6 @@ def load_holdout(path: str | Path) -> list[HoldoutRow]:
                 language=language,
             )
         )
-    if problems:
-        raise DataError(f"malformed holdout file {path}", problems)
     return rows
 
 
@@ -272,7 +273,7 @@ def load_predictions(path: str | Path) -> list[Prediction]:
     problems: list[str] = []
     predictions: list[Prediction] = []
     seen: dict[tuple[str, str], int] = {}
-    for lineno, record in _iter_jsonl(path, problems):
+    for lineno, record in _iter_jsonl(path, "predictions", problems):
         row_id = _required_str(record, "id", lineno, problems)
         hypothesis = record.get("hypothesis")
         if not isinstance(hypothesis, str):
@@ -293,8 +294,6 @@ def load_predictions(path: str | Path) -> list[Prediction]:
             continue
         seen[key] = lineno
         predictions.append(Prediction(id=row_id, hypothesis=hypothesis, system=system))
-    if problems:
-        raise DataError(f"malformed predictions file {path}", problems)
     return predictions
 
 
@@ -383,8 +382,7 @@ def replacing(*paths: str | Path | int | None, opener: type = ReplacingFile) -> 
 # The public names of `manifest`, which loads on the first read of one.
 _MANIFEST_NAMES = frozenset({
     "ManifestRow", "with_status", "read_manifest", "load_manifest", "manifest_line", "ManifestWriter",
-    "manifest_writers", "save_manifest", "Violation", "MIN_TOKENS", "MAX_TOKENS", "ValidationConfig",
-    "validate_corpus_row",
+    "save_manifest", "Violation", "MIN_TOKENS", "MAX_TOKENS", "ValidationConfig", "validate_corpus_row",
 })
 
 

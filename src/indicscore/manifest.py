@@ -7,7 +7,6 @@ JSONL plumbing of `corpus`, and its entity tokens are `corpus.EntityToken`s.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 import os
@@ -86,7 +85,7 @@ def _read_manifest(
     # read_manifest over the byte range [start, stop) of the file, which
     # begins a line and ends one; the ids read are left as keys of ``seen``.
     problems: list[str] = []
-    for lineno, record in _iter_jsonl(path, problems, start, stop):
+    for lineno, record in _iter_jsonl(path, "manifest", problems, start, stop):
         get = record.get
         row_id, text, language, corpus_class = get("id"), get("text"), get("language"), get("corpus_class")
         if not (row_id and text and language and corpus_class and isinstance(row_id, str)
@@ -129,8 +128,6 @@ def _read_manifest(
             "synth_system": synth_system, "cer_against_source": cer_value, "status": status,
             "entity_tokens": tokens,
         })
-    if problems:
-        raise DataError(f"malformed manifest file {path}", problems)
 
 
 def load_manifest(path: str | Path) -> list[ManifestRow]:
@@ -177,7 +174,7 @@ class ManifestWriter(ReplacingFile):
     """Writes manifest rows to a temp file beside ``path``, as a
     ``corpus.ReplacingFile``; ``count`` is the number of rows ``write`` wrote.
 
-    Use it through ``manifest_writers``.
+    Use it through ``corpus.replacing(..., opener=ManifestWriter)``.
     """
 
     def __init__(self, path: str | Path | int):
@@ -198,20 +195,9 @@ class ManifestWriter(ReplacingFile):
             out.write(chunk)
 
 
-def manifest_writers(*paths: str | Path | int | None) -> contextlib.AbstractContextManager:
-    """Yield a ManifestWriter per path (None for a path that is None).
-
-    The outputs are renamed into place, in argument order, only when the
-    block completes; otherwise every temp file is removed. So a failed run
-    neither creates nor changes an output, and an output may be the
-    manifest being read.
-    """
-    return replacing(*paths, opener=ManifestWriter)
-
-
 def save_manifest(path: str | Path, rows: Iterable[ManifestRow]) -> None:
     """Write ``rows`` to ``path``: all or nothing."""
-    with manifest_writers(path) as (out,):
+    with replacing(path, opener=ManifestWriter) as (out,):
         for row in rows:
             out.write(row)
 

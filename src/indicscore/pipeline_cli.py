@@ -18,14 +18,9 @@ from collections import Counter
 from pathlib import Path
 
 from .cli import _emit, _parse_named_value, _warn
+from .corpus import replacing
 from .errors import ConfigurationError, DataError
-from .manifest import (
-    ValidationConfig,
-    _evolve,
-    _read_manifest,
-    manifest_writers,
-    validate_corpus_row,
-)
+from .manifest import ManifestWriter, ValidationConfig, _evolve, _read_manifest, validate_corpus_row
 from .textnorm import format_value
 
 
@@ -92,10 +87,6 @@ def _byte_ranges(manifest: str, paths: tuple) -> list[tuple[int, int | None]]:
     return list(zip(cuts, cuts[1:] + [None]))
 
 
-class _Unusual(Exception):
-    """A run in parts met what only the run in one process may report."""
-
-
 def _merge(a, b):
     """One summary of two ranges': numbers add, lists join, and dicts and
     tuples merge item by item."""
@@ -136,7 +127,9 @@ def _run(manifest: str, body, *paths: str | None):
 
 
 def _run_in_parts(manifest: str, body, paths: tuple, ranges: list):
-    """``_run`` with this process on the first range and a forked child on each other."""
+    """``_run`` with this process on the first range and a forked child on
+    each other. A child's rows join the outputs once its checks pass; a
+    later failure still discards every output as the stack closes."""
     with contextlib.ExitStack() as stack:
         running: set[int] = set()
         stack.callback(_stop, running)
@@ -154,21 +147,18 @@ def _run_in_parts(manifest: str, body, paths: tuple, ranges: list):
             running.add(pid)
             children.append((pid, channel, parts))
         summary, seen, writers = _run_part(manifest, body, paths, 0, ranges[0][1], stack)
-        copies = []
         for index, (pid, channel, parts) in enumerate(children, 2):
             with open(channel, "rb", closefd=False) as reader:
                 part_summary, part_ids = marshal.load(reader)
             status = os.waitpid(pid, 0)[1]
             running.discard(pid)
             if status != 0:
-                raise _Unusual(f"child {pid} exited with status {status}")
+                raise RuntimeError(f"child {pid} exited with status {status}")
             if not seen.keys().isdisjoint(part_ids):
-                raise _Unusual("an id is in two ranges")
+                raise RuntimeError("an id is in two ranges")
             if index < len(ranges):  # the ranges after this one are checked against its ids too
                 seen.update(zip(part_ids, part_ids))
             summary = _merge(summary, part_summary)
-            copies.append(parts)
-        for parts in copies:
             for writer, fd in zip(writers, parts):
                 if fd is not None:
                     writer.copy_from(fd)
@@ -185,7 +175,7 @@ def _run_part(manifest: str, body, targets, start: int, stop: int | None, stack:
     writers: list = []
 
     def outputs():
-        writers.extend(stack.enter_context(manifest_writers(*targets)))
+        writers.extend(stack.enter_context(replacing(*targets, opener=ManifestWriter)))
         return writers
 
     rows = _read_manifest(Path(manifest), seen, start, stop)

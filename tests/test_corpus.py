@@ -14,13 +14,14 @@ from indicscore.corpus import (
     HoldoutRow,
     load_holdout,
     load_predictions,
+    replacing,
 )
 from indicscore.manifest import (
     ManifestRow,
+    ManifestWriter,
     ValidationConfig,
     load_manifest,
     manifest_line,
-    manifest_writers,
     read_manifest,
     save_manifest,
     validate_corpus_row,
@@ -458,7 +459,7 @@ def test_writer_failure_leaves_an_existing_file_untouched(tmp_path):
     out = tmp_path / "out.jsonl"
     out.write_bytes(b"previous contents\n")
     with pytest.raises(RuntimeError):
-        with manifest_writers(out) as (writer,):
+        with replacing(out, opener=ManifestWriter) as (writer,):
             writer.write(make_manifest_row(1))
             raise RuntimeError("stop")
     assert out.read_bytes() == b"previous contents\n"
@@ -468,7 +469,7 @@ def test_writer_failure_leaves_an_existing_file_untouched(tmp_path):
 def test_writer_replaces_only_on_commit(tmp_path):
     out = tmp_path / "out.jsonl"
     out.write_bytes(b"old\n")
-    with manifest_writers(out) as (writer,):
+    with replacing(out, opener=ManifestWriter) as (writer,):
         writer.write(make_manifest_row(1))
         assert out.read_bytes() == b"old\n"
     assert out.read_text(encoding="utf-8") == manifest_line(make_manifest_row(1))
@@ -498,7 +499,7 @@ def test_writer_names_the_output_when_it_cannot_be_made(tmp_path):
 
 def test_writers_commit_in_argument_order_and_only_all_together(tmp_path):
     first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
-    with manifest_writers(first, None, second) as (a, none, b):
+    with replacing(first, None, second, opener=ManifestWriter) as (a, none, b):
         assert none is None
         a.write(make_manifest_row(1))
         b.write(make_manifest_row(2))
@@ -506,7 +507,7 @@ def test_writers_commit_in_argument_order_and_only_all_together(tmp_path):
     assert load_manifest(second) == [make_manifest_row(2)]
     # the second output cannot be made: the first is not created either
     with pytest.raises(IsADirectoryError):
-        with manifest_writers(tmp_path / "third.jsonl", tmp_path):
+        with replacing(tmp_path / "third.jsonl", tmp_path, opener=ManifestWriter):
             pass
     assert sorted(p.name for p in tmp_path.iterdir()) == ["first.jsonl", "second.jsonl"]
 
