@@ -110,37 +110,10 @@ class MultiplierTable(Record):
     def from_entries(
         cls, language: str, entries: Iterable[tuple[str, int, str, str]]
     ) -> "MultiplierTable":
-        units: dict[str, int] = {}
-        multipliers: dict[str, int] = {}
-        markers: set[str] = set()
+        words: dict[str, dict[str, int]] = {kind: {} for kind in LEXICON_KINDS}
         for word, value, kind, script in entries:
-            if script not in LEXICON_SCRIPTS:
-                raise ConfigurationError(f"unknown lexicon script {script!r} for word {word!r}")
-            w = casefold_normalize(word).strip()
-            if not w or " " in w:
-                raise ConfigurationError(f"lexicon word {word!r} must be one non-empty token")
-            if w in units or w in multipliers or w in markers:
-                raise ConfigurationError(f"duplicate lexicon word {word!r} in table {language!r}")
-            if kind == "unit":
-                if not (0 <= value <= 100):
-                    raise ConfigurationError(f"unit {word!r} has value {value}, outside 0..100")
-                units[w] = value
-            elif kind == "multiplier":
-                if value < 1000 or not _is_power_of_ten(value):
-                    raise ConfigurationError(
-                        f"multiplier {word!r} has value {value}; expected a power of 10 >= 1000"
-                    )
-                multipliers[w] = value
-            elif kind == "currency_marker":
-                markers.add(w)
-            else:
-                raise ConfigurationError(f"unknown lexicon kind {kind!r} for word {word!r}")
-        return cls(
-            language=language,
-            units=units,
-            multipliers=multipliers,
-            currency_markers=frozenset(markers),
-        )
+            _add_word(words, language, word, value, kind, script)
+        return _table(language, words)
 
     def merged_with(self, other: "MultiplierTable") -> "MultiplierTable":
         """This table extended with ``other``'s words; own entries win.
@@ -173,15 +146,48 @@ def _first_words(words: Mapping[str, int]) -> dict[int, str]:
     return first
 
 
+def _add_word(
+    words: Mapping[str, dict[str, int]], language: str, word: str, value: int, kind: str, script: str
+) -> None:
+    """Add one lexicon entry to ``words``, which maps each kind to its
+    casefolded words and their values; an entry the table of ``language``
+    cannot hold raises ConfigurationError."""
+    if script not in LEXICON_SCRIPTS:
+        raise ConfigurationError(f"unknown lexicon script {script!r} for word {word!r}")
+    w = casefold_normalize(word).strip()
+    if not w or " " in w:
+        raise ConfigurationError(f"lexicon word {word!r} must be one non-empty token")
+    if w in words["unit"] or w in words["multiplier"] or w in words["currency_marker"]:
+        raise ConfigurationError(f"duplicate lexicon word {word!r} in table {language!r}")
+    if kind == "unit" and not 0 <= value <= 100:
+        raise ConfigurationError(f"unit {word!r} has value {value}, outside 0..100")
+    if kind == "multiplier" and (value < 1000 or not _is_power_of_ten(value)):
+        raise ConfigurationError(f"multiplier {word!r} has value {value}; expected a power of 10 >= 1000")
+    if kind not in words:
+        raise ConfigurationError(f"unknown lexicon kind {kind!r} for word {word!r}")
+    words[kind][w] = value
+
+
+def _table(language: str, words: Mapping[str, dict[str, int]]) -> MultiplierTable:
+    return MultiplierTable(
+        language=language,
+        units=words["unit"],
+        multipliers=words["multiplier"],
+        currency_markers=frozenset(words["currency_marker"]),
+    )
+
+
 def load_lexicon(path: str | Path, language: str | None = None) -> MultiplierTable:
     """Load a tab-separated lexicon file.
 
     One record per line: word, value, kind (unit|multiplier|currency_marker),
     script (latin|native). '#' starts a comment; blank lines are skipped.
-    The value field is ignored for currency markers.
+    The value field is ignored for currency markers. Every problem, a word
+    the table cannot hold included, is raised together, each with its line.
     """
     path = Path(path)
-    entries: list[tuple[str, int, str, str]] = []
+    language = language or path.stem
+    words: dict[str, dict[str, int]] = {kind: {} for kind in LEXICON_KINDS}
     problems: list[str] = []
     for lineno, line in enumerate(read_utf8(path).splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -208,13 +214,13 @@ def load_lexicon(path: str | Path, language: str | None = None) -> MultiplierTab
             except ValueError:
                 problems.append(f"line {lineno}: value {raw_value!r} is not an integer")
                 continue
-        entries.append((word, value, kind, script))
+        try:
+            _add_word(words, language, word, value, kind, script)
+        except ConfigurationError as exc:
+            problems.append(f"line {lineno}: {exc}")
     if problems:
         raise DataError(f"malformed lexicon {path}", problems)
-    try:
-        return MultiplierTable.from_entries(language or path.stem, entries)
-    except ConfigurationError as exc:
-        raise DataError(f"invalid lexicon {path}: {exc}") from exc
+    return _table(language, words)
 
 
 # English is built in so the machinery is testable without data files.

@@ -226,6 +226,25 @@ def test_score_non_utf8_side_file_names_file_and_line(tmp_path, holdout_path, pr
     assert f"{bad}: line 2: not valid UTF-8" in capsys.readouterr().err
 
 
+def test_score_lexicon_table_errors_name_every_line(tmp_path, holdout_path, preds_path, capsys):
+    lexicon = tmp_path / "te.tsv"
+    lexicon.write_text(
+        "one\t1\tunit\tlatin\n"
+        "ONE\t1\tunit\tlatin\n"
+        "# a gross is no power of ten\n"
+        "gross\t144\tmultiplier\tlatin\n",
+        encoding="utf-8",
+    )
+    code = run("score", "--holdout", holdout_path, "--predictions", preds_path, "--lang", "te",
+               "--lexicon", str(lexicon))
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"data error: malformed lexicon {lexicon}\n"
+        "  line 2: duplicate lexicon word 'ONE' in table 'te'\n"
+        "  line 4: multiplier 'gross' has value 144; expected a power of 10 >= 1000\n"
+    )
+
+
 def test_score_directory_as_holdout_exits_2(tmp_path, preds_path, capsys):
     code = run("score", "--holdout", str(tmp_path), "--predictions", preds_path, "--lang", "te")
     assert code == 2
