@@ -20,6 +20,7 @@ from .corpus import SYNTH_SYSTEMS
 from .errors import ConfigurationError, DataError
 from .manifest import ManifestRow, _evolve, with_status
 from .record import Record
+from .textnorm import align_columns
 
 # CPython's own SHA-256, as random.py takes its SHA-512: importing hashlib
 # would map OpenSSL's libcrypto into every pipeline verb. FIPS 180-4 fixes
@@ -253,17 +254,13 @@ def render_distribution(counts: Mapping[tuple[str, str], int]) -> str:
     backends = [b for b in SYNTH_SYSTEMS if any(be == b for _, be in counts)]
     if any(be == "unrouted" for _, be in counts):
         backends.append("unrouted")
-    header = ["lang"] + backends + ["total"]
-    lines = []
+    lines = [["lang"] + backends + ["total"]]
     for lang in languages:
         row_counts = [counts.get((lang, b), 0) for b in backends]
         lines.append([lang] + [str(c) for c in row_counts] + [str(sum(row_counts))])
     col_totals = [sum(counts.get((lang, b), 0) for lang in languages) for b in backends]
     lines.append(["total"] + [str(c) for c in col_totals] + [str(sum(col_totals))])
-    widths = [max(len(header[i]), *(len(line[i]) for line in lines)) for i in range(len(header))]
-    def fmt(cells: list[str]) -> str:
-        return "  ".join(c.rjust(widths[i]) if i else c.ljust(widths[i]) for i, c in enumerate(cells))
-    return "\n".join([fmt(header)] + [fmt(line) for line in lines])
+    return "\n".join(align_columns(lines))
 
 
 def render_distribution_table(rows: Iterable[ManifestRow]) -> str:

@@ -18,7 +18,7 @@ from .errors import ConfigurationError, DataError, read_utf8
 from .matchers import EhrReport, MatchResult, ScoringConfig, aggregate_ehr, score_utterance
 from .record import Record
 from .script import SfrResult, aggregate_sfr, sfr
-from .textnorm import DEFAULT_NORM, NormConfig, format_value
+from .textnorm import DEFAULT_NORM, NormConfig, align_columns, format_value
 
 
 class UtteranceDetail(Record):
@@ -334,8 +334,7 @@ def _signed(value: float | None) -> str:
 
 def render_comparison(comparisons: Sequence[dict]) -> str:
     """Delta table; +WER/+CER mean regression, +SFR/+EHR mean improvement."""
-    header = ["system", "ΔWER", "ΔCER", "ΔSFR", "ΔEHR(micro)", "ΔEHR(macro)", "EHR ratio"]
-    lines = [header]
+    lines = [["system", "ΔWER", "ΔCER", "ΔSFR", "ΔEHR(micro)", "ΔEHR(macro)", "EHR ratio"]]
     for comp in comparisons:
         deltas = comp["deltas"]
         ratio = comp["ehr_micro_ratio"]
@@ -350,10 +349,4 @@ def render_comparison(comparisons: Sequence[dict]) -> str:
                 "—" if ratio is None else f"{ratio:.1f}x",
             ]
         )
-    widths = [max(len(line[i]) for line in lines) for i in range(len(header))]
-    rendered = [
-        "  ".join(cell.ljust(widths[i]) if i == 0 else cell.rjust(widths[i]) for i, cell in enumerate(line))
-        for line in lines
-    ]
-    rendered.append("(+WER/+CER = regression; +SFR/+EHR = improvement)")
-    return "\n".join(rendered)
+    return "\n".join([*align_columns(lines), "(+WER/+CER = regression; +SFR/+EHR = improvement)"])

@@ -4,7 +4,8 @@ All text comparison in this package funnels through these helpers so the
 same NFKC / casefold / whitespace conventions apply everywhere. Casefolding
 follows the NFKC_Casefold construction (NFKC, casefold, NFKC again), which
 is stable under repeated application. The module also holds what every CLI
-verb shares: the mode vocabularies and the fixed-decimal number rendering.
+verb shares: the mode vocabularies, the fixed-decimal number rendering and
+the column alignment of printed tables.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import re
 import unicodedata
 from functools import lru_cache
+from typing import Sequence
 
 from .errors import ConfigurationError
 from .record import Record
@@ -134,9 +136,20 @@ def norm_config_from_label(label: str) -> NormConfig:
     return NormConfig(label)
 
 
-def format_value(value: float | None, decimals: int = 3) -> str:
+def format_value(value: float | None) -> str:
     """Fixed 3-decimal formatting; NA renders as an em dash."""
-    return "—" if value is None else f"{value:.{decimals}f}"
+    return "—" if value is None else f"{value:.3f}"
+
+
+def align_columns(lines: Sequence[Sequence[str]]) -> list[str]:
+    """Each line's cells joined by two spaces, padded to their column's
+    widest cell: the first column left-aligned, the others right-aligned."""
+    widths = [max(map(len, column)) for column in zip(*lines)]
+    aligned = []
+    for first, *rest in lines:
+        cells = [first.ljust(widths[0])] + [cell.rjust(width) for cell, width in zip(rest, widths[1:])]
+        aligned.append("  ".join(cells))
+    return aligned
 
 
 # How many texts keep their scoring forms. Scoring a row reads its reference
