@@ -187,6 +187,14 @@ class TestMatcherRuleBoundaries:
         assert table.lookup("paytm mall") == ("paytm mall", "paytm")
         assert table.lookup("Swiggy") is None
 
+    def test_alias_file_skips_comments_and_blank_lines(self, tmp_path):
+        path = tmp_path / "aliases.tsv"
+        path.write_text("# canonical\taliases\n\nPaytm\tపేటీఎం\n   \n#Swiggy\tస్విగ్గీ\n", encoding="utf-8")
+        table = AliasTable.from_file(path)
+        assert len(table) == 1
+        assert table.lookup("పేటీఎం") == ("paytm", "పేటీఎం")
+        assert table.lookup("Swiggy") is None
+
     def test_alias_lookup_reads_digits_of_any_script(self):
         table = AliasTable([("7-Eleven", "७-इलेवन")])
         assert table.lookup("७-ELEVEN") == table.lookup("7-इलेवन") == ("7-eleven", "7-इलेवन")
@@ -628,9 +636,13 @@ def test_tolerance_constant_is_half_percent():
     assert float(CURRENCY_TOLERANCE) == 0.005
 
 
-def test_entity_token_validates_class():
-    with pytest.raises(ConfigurationError):
-        EntityToken(surface="x", matcher_class="phone")
+@pytest.mark.parametrize("surface, matcher_class, message", [
+    ("x", "phone", "unknown matcher class 'phone'"),
+    ("", "digit_run", "entity token surface must be non-empty"),
+])
+def test_entity_token_validates_class_and_surface(surface, matcher_class, message):
+    with pytest.raises(ConfigurationError, match=message):
+        EntityToken(surface=surface, matcher_class=matcher_class)
     assert len(MATCHER_CLASSES) == 7
 
 

@@ -194,6 +194,12 @@ def test_parse_amount_text_whole_input_only():
     assert parse_amount_text("", EN) is None
 
 
+def test_a_zero_count_takes_no_multiplier():
+    # "zero lakh" is no amount; the scan reads the zero alone
+    assert parse_amount_text("zero lakh", EN) is None
+    assert parse_currency_expression("zero lakh rupees", EN) == [0]
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.lists(
@@ -552,10 +558,14 @@ def test_merged_with_prefers_own_entries():
     assert spell_number(5, merged) == ["ఐదు"]
 
 
-def test_merged_with_conflicting_values_raise():
-    other = MultiplierTable.from_entries("xx", [("ఐదు", 6, "unit", "latin")])
-    with pytest.raises(ConfigurationError):
-        TE.merged_with(other)
+@pytest.mark.parametrize("table, entry", [
+    (TE, ("ఐదు", 6, "unit", "latin")),
+    (EN, ("lakh", 1000, "multiplier", "latin")),
+])
+def test_merged_with_conflicting_values_raise(table, entry):
+    other = MultiplierTable.from_entries("xx", [entry])
+    with pytest.raises(ConfigurationError, match=f"conflicting value for word {entry[0]!r}"):
+        table.merged_with(other)
 
 
 def test_bundled_tables_load_and_parse():

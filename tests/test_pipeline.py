@@ -79,6 +79,8 @@ def test_policy_rejects_negative_weight():
 def test_policy_rejects_bad_sum():
     with pytest.raises(ConfigurationError):
         RouterPolicy(weights={"praxy": 0.5, "cartesia": 0.4})
+    with pytest.raises(ConfigurationError, match="router weights must not be empty"):
+        RouterPolicy(weights={})
 
 
 def test_policy_rejects_bad_override():
