@@ -1,8 +1,9 @@
-"""Exception types shared across the package, and the UTF-8 text read that
-reports a bad byte as a DataError naming the file and line."""
+"""Exception types shared across the package, and the readers of text files
+that report a problem as a DataError naming the file and line."""
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from pathlib import Path
 
 
@@ -40,3 +41,13 @@ def read_utf8(path: str | Path) -> str:
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise DataError(f"{path}: line {line}: not valid UTF-8") from None
+
+
+def read_table(path: str | Path) -> Iterator[tuple[int, list[str]]]:
+    """Yield the 1-based number and stripped tab-separated fields of each line of a
+    table (lexicon, brand aliases): a leading byte-order mark is dropped, '#' starts
+    a comment anywhere, and a line with nothing before its comment is skipped."""
+    for lineno, line in enumerate(read_utf8(path).removeprefix("\ufeff").splitlines(), 1):
+        line = line.split("#", 1)[0].strip()
+        if line:
+            yield lineno, [field.strip() for field in line.split("\t")]

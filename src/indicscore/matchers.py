@@ -52,7 +52,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .corpus import MATCHER_CLASSES, EntityToken
 from .distance import _position_masks
-from .errors import ConfigurationError, ReferenceDataError, read_utf8
+from .errors import ConfigurationError, ReferenceDataError, read_table
 from .numbers import MultiplierTable, load_language_table, parse_amount_text, parse_currency_expression
 from .record import Record
 from .textnorm import CURRENCY_MODES, casefold_normalize, fold_digits, nfkc_normalize, tokens_for_scoring
@@ -109,14 +109,8 @@ class AliasTable:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "AliasTable":
-        """Load a tab-separated alias file: canonical brand, then aliases."""
-        groups = []
-        for line in read_utf8(path).splitlines():
-            line = line.rstrip()
-            if not line or line.startswith("#"):
-                continue
-            groups.append([f for f in line.split("\t") if f.strip()])
-        return cls(groups)
+        """Load an alias file (lines as `errors.read_table` reads them): canonical brand, then aliases."""
+        return cls([field for field in fields if field] for _, fields in read_table(path))
 
 
 # ---------------------------------------------------------------------------

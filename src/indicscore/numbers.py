@@ -26,12 +26,12 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ConfigurationError, DataError, read_utf8
+from .errors import ConfigurationError, DataError, read_table
 from .record import Record
+from .script import LANGUAGES
 from .textnorm import REWRITE_MODES, casefold_normalize, nfkc_normalize, tokens_for_scoring
 
 _CRORE = 10**7
@@ -181,7 +181,7 @@ def load_lexicon(path: str | Path, language: str | None = None) -> MultiplierTab
     """Load a tab-separated lexicon file.
 
     One record per line: word, value, kind (unit|multiplier|currency_marker),
-    script (latin|native). '#' starts a comment; blank lines are skipped.
+    script (latin|native), read by `errors.read_table`.
     The value field is ignored for currency markers. Every problem, a word
     the table cannot hold included, is raised together, each with its line.
     """
@@ -189,11 +189,7 @@ def load_lexicon(path: str | Path, language: str | None = None) -> MultiplierTab
     language = language or path.stem
     words: dict[str, dict[str, int]] = {kind: {} for kind in LEXICON_KINDS}
     problems: list[str] = []
-    for lineno, line in enumerate(read_utf8(path).splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = [f.strip() for f in line.split("\t")]
+    for lineno, fields in read_table(path):
         if len(fields) != 4:
             problems.append(f"line {lineno}: expected 4 tab-separated fields, got {len(fields)}")
             continue
@@ -202,9 +198,7 @@ def load_lexicon(path: str | Path, language: str | None = None) -> MultiplierTab
             problems.append(f"line {lineno}: unknown kind {kind!r}; expected one of {LEXICON_KINDS}")
             continue
         if script not in LEXICON_SCRIPTS:
-            problems.append(
-                f"line {lineno}: unknown script {script!r}; expected one of {LEXICON_SCRIPTS}"
-            )
+            problems.append(f"line {lineno}: unknown script {script!r}; expected one of {LEXICON_SCRIPTS}")
             continue
         if kind == "currency_marker":
             value = 0
@@ -268,11 +262,9 @@ def load_language_table(language: str) -> MultiplierTable:
     """The bundled table for a language code ('en' is built in)."""
     if language == "en":
         return ENGLISH_TABLE
-    if language not in ("te", "ta", "hi"):
+    if language not in LANGUAGES:
         raise ConfigurationError(f"no bundled number lexicon for language {language!r}")
-    lexicons = resources.files("indicscore").joinpath("data", "lexicons")
-    with resources.as_file(lexicons.joinpath(f"{language}.tsv")) as path:
-        return load_lexicon(path, language)
+    return load_lexicon(Path(__file__).parent / "data" / "lexicons" / f"{language}.tsv", language)
 
 
 # ---------------------------------------------------------------------------

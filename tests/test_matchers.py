@@ -187,13 +187,17 @@ class TestMatcherRuleBoundaries:
         assert table.lookup("paytm mall") == ("paytm mall", "paytm")
         assert table.lookup("Swiggy") is None
 
-    def test_alias_file_skips_comments_and_blank_lines(self, tmp_path):
+    @pytest.mark.parametrize("text, groups", [
+        ("# canonical\taliases\n\nPaytm\tపేటీఎం\n   \n#Swiggy\tస్విగ్గీ\n", [("paytm", "పేటీఎం")]),
+        ("\ufeff# canonical\taliases\n\nPaytm\tపేటీఎం\n   \n#Swiggy\tస్విగ్గీ\n", [("paytm", "పేటీఎం")]),
+        ("Paytm \tpaytm app\t # the app name\n  # note\tx\nSwiggy # not yet\n", [("paytm", "paytm app"), ("swiggy",)]),
+    ], ids=["comments-and-blank-lines", "byte-order-mark", "spaces-and-comments-anywhere"])
+    def test_alias_file_skips_comments_and_blank_lines(self, tmp_path, text, groups):
         path = tmp_path / "aliases.tsv"
-        path.write_text("# canonical\taliases\n\nPaytm\tపేటీఎం\n   \n#Swiggy\tస్విగ్గీ\n", encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
         table = AliasTable.from_file(path)
-        assert len(table) == 1
-        assert table.lookup("పేటీఎం") == ("paytm", "పేటీఎం")
-        assert table.lookup("Swiggy") is None
+        assert table._groups == groups
+        assert table.lookup("Paytm") == groups[0]
 
     def test_alias_lookup_reads_digits_of_any_script(self):
         table = AliasTable([("7-Eleven", "७-इलेवन")])

@@ -480,6 +480,16 @@ def test_load_lexicon_reports_all_problems(tmp_path):
     assert "line 5: unknown script 'cyrillic'; expected one of ('latin', 'native')" in message
 
 
+def test_load_lexicon_ignores_a_byte_order_mark(tmp_path):
+    text = "# demo\nfive\t5\tunit\tlatin\nlakh\t100000\tmultiplier\tlatin\nrs\t0\tcurrency_marker\tlatin\n"
+    plain, marked = tmp_path / "plain.tsv", tmp_path / "marked.tsv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text("\ufeff" + text, encoding="utf-8")
+    assert load_lexicon(marked, "xx") == load_lexicon(plain, "xx")
+    marked.write_text("\ufeff" + text.split("\n", 1)[1], encoding="utf-8")  # the mark before a word
+    assert load_lexicon(marked, "xx") == load_lexicon(plain, "xx")
+
+
 def test_table_rejects_duplicate_words():
     with pytest.raises(ConfigurationError):
         MultiplierTable.from_entries(
