@@ -18,8 +18,8 @@ import contextlib
 import json
 import os
 import re
+from collections.abc import Iterable, Iterator
 from pathlib import Path
-from typing import Iterable, Iterator
 
 from .errors import ConfigurationError, DataError
 from .record import Record

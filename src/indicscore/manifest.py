@@ -10,9 +10,9 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
 
 from . import corpus
 from .corpus import (

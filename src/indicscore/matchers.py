@@ -44,11 +44,11 @@ thresholds and the window slop are fixed module constants.
 from __future__ import annotations
 
 import re
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from itertools import accumulate, groupby
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
 
 from .corpus import MATCHER_CLASSES, EntityToken
 from .distance import _position_masks

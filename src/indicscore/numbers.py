@@ -24,10 +24,10 @@ like "1.5 lakh" carry no floating-point error into tolerance checks.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
 
 from .errors import ConfigurationError, DataError, read_table
 from .record import Record

@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
 
 from .corpus import SYNTH_SYSTEMS
 from .errors import ConfigurationError, DataError

@@ -9,8 +9,8 @@ byte-identical reports.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Mapping, Sequence
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
 
 from .corpus import HoldoutRow, Prediction, replacing
 from .distance import ErrorRate, cer, wer

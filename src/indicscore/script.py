@@ -9,7 +9,7 @@ Digits and punctuation never affect the rate.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import ConfigurationError, DataError
 from .record import Record

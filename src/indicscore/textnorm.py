@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import re
 import unicodedata
+from collections.abc import Sequence
 from functools import lru_cache
-from typing import Sequence
 
 from .errors import ConfigurationError
 from .record import Record

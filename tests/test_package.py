@@ -15,11 +15,12 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 SRC = str(Path(indicscore.__file__).resolve().parent.parent)
 
 
-def run_python(code, *args):
-    """Run ``code`` in a fresh interpreter that imports this checkout's package."""
+def run_python(code, *args, flags=()):
+    """Run ``code`` in a fresh interpreter, started with ``flags``, that imports
+    this checkout's package."""
     path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     result = subprocess.run(
-        [sys.executable, "-c", code, *args],
+        [sys.executable, *flags, "-c", code, *args],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120,
     )
     assert result.returncode == 0, result.stderr
@@ -75,8 +76,8 @@ PIPELINE_VERBS = {
 }
 
 
-def verb_modules(*argv, parts=False):
-    result = run_python(VERB_BOOT, "parts" if parts else "one", *argv)
+def verb_modules(*argv, parts=False, flags=()):
+    result = run_python(VERB_BOOT, "parts" if parts else "one", *argv, flags=flags)
     code, modules, forks = json.loads(result.stderr.splitlines()[-1])
     assert code == 0
     assert bool(forks) == parts
@@ -145,21 +146,34 @@ def test_importing_the_cli_loads_no_pipeline_code():
     assert set(json.loads(run_python(code).stdout)) & NOT_FOR_SCORING == set()
 
 
-def test_scoring_verbs_load_no_pipeline_code(tmp_path):
-    row = {"id": "u1", "text": "Flipkart లో ఆర్డర్ 500081", "language": "te",
-           "entity_tokens": [{"surface": "Flipkart", "class": "brand"}, {"surface": "500081", "class": "pincode"}]}
+def scoring_verb_modules(tmp_path, flags=()):
+    """The modules loaded by score, diagnose and compare, each run with ``flags``."""
+    row = {"id": "u1", "text": "Flipkart లో ఆర్డర్ ₹500 500081", "language": "te",
+           "entity_tokens": [{"surface": "Flipkart", "class": "brand"}, {"surface": "500081", "class": "pincode"},
+                             {"surface": "₹500", "class": "currency_amount"}]}
     holdout = write_jsonl(tmp_path / "holdout.jsonl", [row])
     preds = write_jsonl(tmp_path / "preds.jsonl", [{"id": "u1", "hypothesis": row["text"]}])
     card = tmp_path / "card.json"
     # an unlisted brand: score warns, and still loads no logging
     score = verb_modules("score", "--holdout", str(holdout), "--predictions", str(preds), "--lang", "te",
-                         "--out", str(card), "--detail", str(tmp_path / "detail.jsonl"))
+                         "--out", str(card), "--detail", str(tmp_path / "detail.jsonl"), flags=flags)
     transcripts = tmp_path / "t.txt"
     transcripts.write_text("నమస్కారం\n", encoding="utf-8")
-    diagnose = verb_modules("diagnose", "--lang", "te", "--sfr", "a=0.5", "--transcripts", f"b={transcripts}")
-    compare = verb_modules("compare", "--baseline", str(card), str(card))
-    for modules in (score, diagnose, compare):
+    diagnose = verb_modules("diagnose", "--lang", "te", "--sfr", "a=0.5", "--transcripts", f"b={transcripts}",
+                            flags=flags)
+    compare = verb_modules("compare", "--baseline", str(card), str(card), flags=flags)
+    return score, diagnose, compare
+
+
+def test_scoring_verbs_load_no_pipeline_code(tmp_path):
+    for modules in scoring_verb_modules(tmp_path):
         assert modules & NOT_FOR_SCORING == set()
+
+
+def test_scoring_verbs_import_neither_typing_nor_importlib_resources(tmp_path):
+    # -S: no site hook (such as a .pth file) may import either before the package
+    for modules in scoring_verb_modules(tmp_path, flags=("-S",)):
+        assert modules & {"typing", "importlib.resources"} == set()
 
 
 def test_manifest_names_read_through_corpus_are_the_manifest_objects():
