@@ -273,18 +273,18 @@ def load_language_table(language: str) -> MultiplierTable:
 
 def _parse_run(
     tokens: Sequence[str], table: MultiplierTable, start: int = 0
-) -> tuple[Fraction, int] | None:
+) -> tuple[int | Fraction, int] | None:
     """Parse the longest valid prefix of ``tokens[start:]`` as one amount,
     but for a count that the next hundred or multiplier word must scale.
 
     Returns (value, tokens consumed) or None. Tokens must already be
     casefold-normalized, and so NFKC: a numeral token is read as it is.
     """
-    groups_total = Fraction(0)
+    groups_total: int | Fraction = 0
     last_mult: int | None = None
-    current = Fraction(0)
+    current: int | Fraction = 0
     has_current = numeral = False  # numeral: the pending count is written in digits
-    best: tuple[Fraction, int] | None = None
+    best: tuple[int | Fraction, int] | None = None
     before_count = best  # best before the pending count began
 
     for i in range(start, len(tokens)):
@@ -300,7 +300,7 @@ def _parse_run(
                 current *= 100
             elif not has_current:
                 before_count = best
-                current = Fraction(unit)
+                current = unit
                 has_current = True
                 numeral = False
             elif numeral:
@@ -328,13 +328,13 @@ def _parse_run(
             else:
                 break  # bare multiplier
             last_mult = mult
-            current = Fraction(0)
+            current = 0
             has_current = False
         elif _NUMERAL_RE.fullmatch(tok):
             if has_current:
                 break  # two numerals never fuse into one amount
             before_count = best
-            current = Fraction(tok.replace(",", ""))
+            current = (Fraction if "." in tok else int)(tok.replace(",", ""))
             has_current = numeral = True
         else:
             break
@@ -362,7 +362,7 @@ def parse_number_words(tokens: Sequence[str], table: MultiplierTable) -> Fractio
 def _parse_words(tokens: Sequence[str], table: MultiplierTable) -> Fraction | None:
     # parse_number_words over tokens already casefold-normalized
     result = _parse_run(tokens, table)
-    return result[0] if result is not None and result[1] == len(tokens) else None
+    return Fraction(result[0]) if result is not None and result[1] == len(tokens) else None
 
 
 def parse_amount_text(text: str, table: MultiplierTable) -> Fraction | None:
@@ -389,7 +389,7 @@ def parse_currency_expression(text: str, table: MultiplierTable) -> list[Fractio
         if result is None:
             i += 1
             continue
-        amounts.append(result[0])
+        amounts.append(Fraction(result[0]))
         i += result[1]
     return amounts
 
