@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import os
 import sys
 from collections import Counter
@@ -58,7 +57,7 @@ def _emit(fmt: str, table, records, rows=None) -> None:
         print(table())
     elif fmt == "records":
         for record in records:
-            print(json.dumps(record, ensure_ascii=False, sort_keys=True))
+            print(corpus.encode_sorted(record))
     else:
         rows = list(records if rows is None else rows)
         if rows:  # no rows, no header

@@ -155,6 +155,8 @@ def _lines_within(handle, size: int) -> Iterator[bytes]:
 # newline of a line ending "}\n" read an object, which json.loads would return.
 _scan_once = json.JSONDecoder().scan_once
 
+encode_sorted = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode  # json.dumps with these settings
+
 
 # \ud800-\udfff, in either case. Escaped Indic text (\u0c..) never matches;
 # an escaped backslash before "ud8.." can, and only costs the exact check.

@@ -26,6 +26,7 @@ from .corpus import (
     _iter_jsonl,
     _parse_entity_tokens,
     _required_str,
+    encode_sorted,
     replacing,
 )
 from .errors import ConfigurationError, DataError
@@ -136,7 +137,6 @@ def load_manifest(path: str | Path) -> list[ManifestRow]:
 
 
 _encode_str = json.encoder.encode_basestring  # what json.dumps(..., ensure_ascii=False) uses
-_encode_other = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode  # and json.dumps itself
 _isfinite = math.isfinite
 
 
@@ -154,12 +154,12 @@ def manifest_line(row: ManifestRow) -> str:
     cer = row.cer_against_source
     if cer is not None:
         # a finite float, as the loader gives, is spelled as json.dumps spells it
-        value = float.__repr__(cer) if type(cer) is float and _isfinite(cer) else _encode_other(cer)
+        value = float.__repr__(cer) if type(cer) is float and _isfinite(cer) else encode_sorted(cer)
         line += f'"cer_against_source": {value}, '
     line += f'"corpus_class": {enc(row.corpus_class)}, '
     if row.entity_tokens:
         tokens = ", ".join([
-            f'{{"language": {enc(t.language) if type(t.language) is str else _encode_other(t.language)},'
+            f'{{"language": {enc(t.language) if type(t.language) is str else encode_sorted(t.language)},'
             f' "matcher_class": {enc(t.matcher_class)}, "surface": {enc(t.surface)}}}'
             for t in row.entity_tokens
         ])

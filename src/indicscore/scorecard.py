@@ -12,7 +12,7 @@ import json
 from collections.abc import Iterable, Mapping, Sequence
 from pathlib import Path
 
-from .corpus import HoldoutRow, Prediction, replacing
+from .corpus import HoldoutRow, Prediction, encode_sorted, replacing
 from .distance import ErrorRate, cer, wer
 from .errors import ConfigurationError, DataError, read_utf8
 from .matchers import EhrReport, MatchResult, ScoringConfig, aggregate_ehr, score_utterance
@@ -183,7 +183,7 @@ def write_score_outputs(
     with replacing(card_path, detail_path) as (card_file, detail_file):
         card_file.handle.write(json.dumps(record, ensure_ascii=False, sort_keys=True, indent=2) + "\n")
         for detail in details:
-            detail_file.handle.write(json.dumps(_detail_record(detail), ensure_ascii=False, sort_keys=True) + "\n")
+            detail_file.handle.write(encode_sorted(_detail_record(detail)) + "\n")
 
 
 def load_scorecard_record(path: str | Path) -> dict:
