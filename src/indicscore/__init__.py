@@ -24,7 +24,7 @@ _EXPORTS = {
     "distance": ("ErrorRate", "cer", "levenshtein", "wer"),
     "errors": ("ConfigurationError", "DataError", "ReferenceDataError"),
     "matchers": (
-        "AliasTable", "CURRENCY_TOLERANCE", "EhrReport", "MatchResult", "ScoringConfig",
+        "AliasTable", "CURRENCY_TOLERANCE_DIVISOR", "EhrReport", "MatchResult", "ScoringConfig",
         "aggregate_ehr", "lcs_length", "score_utterance",
     ),
     "numbers": (

@@ -11,7 +11,7 @@ class? The class rules:
                    and "98765", "5 0 0 0 8 1" only "500081"
   pincode          the digit_run rule for a token of exactly 6 digits
   currency_amount  any parsed hypothesis amount within +/-0.5 percent of
-                   the reference value (inclusive, exact rationals)
+                   the reference value (inclusive: 200 * |hyp - ref| <= ref)
   brand            casefolded whole-token alias match via the alias table
   proper_noun      token-set Jaccard >= 0.80 against hypothesis windows of
                    k-1, k, and k+1 tokens
@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from fractions import Fraction
 from itertools import accumulate, groupby
 from pathlib import Path
 from types import MappingProxyType
@@ -57,8 +56,8 @@ from .numbers import MultiplierTable, load_language_table, parse_amount_text, pa
 from .record import Record
 from .textnorm import CURRENCY_MODES, casefold_normalize, fold_digits, nfkc_normalize, tokens_for_scoring
 
-# Relative tolerance for currency comparison: half a percent, inclusive.
-CURRENCY_TOLERANCE = Fraction(1, 200)
+# Currency amounts hit within half a percent, inclusive: DIVISOR * |hyp - ref| <= ref.
+CURRENCY_TOLERANCE_DIVISOR = 200
 
 # Proper nouns hit at token-set Jaccard >= JACCARD_THRESHOLD against
 # hypothesis windows of k - WINDOW_SLOP to k + WINDOW_SLOP tokens.
@@ -209,9 +208,8 @@ def _match_currency(token: EntityToken, surface: str, hyp: str, config: ScoringC
         # does not trust a word-level value for the reference.
         return False, "no digit anchor in strict mode"
 
-    tolerance = v_ref * CURRENCY_TOLERANCE
     for value in parse_currency_expression(hyp, table):
-        if abs(value - v_ref) <= tolerance:
+        if CURRENCY_TOLERANCE_DIVISOR * abs(value - v_ref) <= v_ref:
             return True, f"hypothesis amount {value} within 0.5% of {v_ref}"
     return False, ""
 

@@ -17,15 +17,15 @@ parse failures instead of best-effort values:
   thousand crore", "five lakh crore"), where crore scales everything
   accumulated so far — that is how amounts above 99 crore are read out.
 
-Values are exact rationals (fractions.Fraction), so decimal amounts
-like "1.5 lakh" carry no floating-point error into tolerance checks.
+Values are exact: an int, or a fractions.Fraction (imported only then)
+once a numeral with a decimal point takes part, so decimal amounts like
+"1.5 lakh" carry no floating-point error into tolerance checks.
 """
 
 from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Mapping, Sequence
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from pathlib import Path
 
@@ -61,14 +61,25 @@ _GROUPED_RUN_RE = re.compile(
 )
 
 
-def parse_latin_numeral(text: str) -> Fraction | None:
+def parse_latin_numeral(text: str) -> int | Fraction | None:
     """Parse one Latin numeral with optional grouping and decimal point.
 
     Comma placement must follow either the Western or the Indian
     convention; anything else (e.g. "5,0,0") is rejected.
     """
     s = nfkc_normalize(text)
-    return Fraction(s.replace(",", "")) if _NUMERAL_RE.fullmatch(s) else None
+    return _numeral_value(s) if _NUMERAL_RE.fullmatch(s) else None
+
+
+def _numeral_value(numeral: str) -> int | Fraction:
+    # a numeral _NUMERAL_RE matched, as an int or, with a decimal point, as
+    # its exact Fraction: the one place fractions (and decimal) is imported
+    digits = numeral.replace(",", "")
+    if "." not in digits:
+        return int(digits)
+    from fractions import Fraction
+
+    return Fraction(digits)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +345,7 @@ def _parse_run(
             if has_current:
                 break  # two numerals never fuse into one amount
             before_count = best
-            current = (Fraction if "." in tok else int)(tok.replace(",", ""))
+            current = _numeral_value(tok)
             has_current = numeral = True
         else:
             break
@@ -350,7 +361,7 @@ def _parse_run(
     return best
 
 
-def parse_number_words(tokens: Sequence[str], table: MultiplierTable) -> Fraction | None:
+def parse_number_words(tokens: Sequence[str], table: MultiplierTable) -> int | Fraction | None:
     """Parse a whole token sequence as one amount, or None.
 
     Trailing tokens that are not part of the amount make the parse fail;
@@ -359,13 +370,13 @@ def parse_number_words(tokens: Sequence[str], table: MultiplierTable) -> Fractio
     return _parse_words([casefold_normalize(t) for t in tokens], table)
 
 
-def _parse_words(tokens: Sequence[str], table: MultiplierTable) -> Fraction | None:
+def _parse_words(tokens: Sequence[str], table: MultiplierTable) -> int | Fraction | None:
     # parse_number_words over tokens already casefold-normalized
     result = _parse_run(tokens, table)
-    return Fraction(result[0]) if result is not None and result[1] == len(tokens) else None
+    return result[0] if result is not None and result[1] == len(tokens) else None
 
 
-def parse_amount_text(text: str, table: MultiplierTable) -> Fraction | None:
+def parse_amount_text(text: str, table: MultiplierTable) -> int | Fraction | None:
     """Parse one free-text amount ("₹5,00,000", "ఐదు లక్షల").
 
     Currency markers are stripped and ignored; the remaining tokens must
@@ -376,20 +387,20 @@ def parse_amount_text(text: str, table: MultiplierTable) -> Fraction | None:
     return _parse_words(toks, table)  # no tokens parse as no amount
 
 
-def parse_currency_expression(text: str, table: MultiplierTable) -> list[Fraction]:
+def parse_currency_expression(text: str, table: MultiplierTable) -> list[int | Fraction]:
     """Scan text for the value of every maximal numeric expression, in order.
 
     Currency markers never change a value and act as transparent tokens.
     """
     toks = [t for t in tokens_for_scoring(text) if t not in table.currency_markers]
-    amounts: list[Fraction] = []
+    amounts: list[int | Fraction] = []
     i = 0
     while i < len(toks):
         result = _parse_run(toks, table, i)
         if result is None:
             i += 1
             continue
-        amounts.append(Fraction(result[0]))
+        amounts.append(result[0])
         i += result[1]
     return amounts
 

@@ -9,7 +9,7 @@ import matcher_oracle
 from indicscore import corpus
 from indicscore.errors import ConfigurationError, ReferenceDataError
 from indicscore.matchers import (
-    CURRENCY_TOLERANCE,
+    CURRENCY_TOLERANCE_DIVISOR,
     MATCHER_CLASSES,
     AliasTable,
     EntityToken,
@@ -113,6 +113,9 @@ class TestMatcherRuleBoundaries:
         assert not score_one(token("₹5,00,000", "currency_amount"), "rs 502501", currency_mode="strict").hit
         assert score_one(token("₹5,00,000", "currency_amount"), "rs 497500", currency_mode="strict").hit
         assert not score_one(token("₹5,00,000", "currency_amount"), "rs 497499", currency_mode="strict").hit
+        # a decimal reference: 0.5 percent of 250000 is exactly 1250
+        assert score_one(token("₹2.5 lakh", "currency_amount"), "rs 251250", currency_mode="strict").hit
+        assert not score_one(token("₹2.5 lakh", "currency_amount"), "rs 251251", currency_mode="strict").hit
 
     def test_currency_word_hypothesis_matches_digit_reference(self):
         assert score_one(token("₹5,00,000", "currency_amount"), "five lakh rupees", currency_mode="strict").hit
@@ -636,8 +639,8 @@ def test_table_for_merges_once_per_language():
 
 
 def test_tolerance_constant_is_half_percent():
-    assert CURRENCY_TOLERANCE == pytest.approx(0.005)
-    assert float(CURRENCY_TOLERANCE) == 0.005
+    assert type(CURRENCY_TOLERANCE_DIVISOR) is int
+    assert 1 / CURRENCY_TOLERANCE_DIVISOR == 0.005
 
 
 @pytest.mark.parametrize("surface, matcher_class, message", [

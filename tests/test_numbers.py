@@ -73,6 +73,17 @@ def test_exactness():
     assert parse_latin_numeral("0.1") != 0.1000000000000001
 
 
+@pytest.mark.parametrize("parse, integral, decimal, decimal_value", [
+    (parse_latin_numeral, "5,00,000", "12.50", Fraction(25, 2)),
+    (lambda text: parse_number_words(text.split(), EN), "five lakh", "2.5 lakh", Fraction(250000)),
+    (lambda text: parse_amount_text(text, EN), "₹5,00,000", "₹12.50", Fraction(25, 2)),
+    (lambda text: parse_currency_expression(text, EN)[0], "pay 5 lakh", "pay 2.5 lakh", Fraction(250000)),
+], ids=["parse_latin_numeral", "parse_number_words", "parse_amount_text", "parse_currency_expression"])
+def test_an_integral_amount_is_an_int_and_a_decimal_one_its_exact_fraction(parse, integral, decimal, decimal_value):
+    assert (type(parse(integral)), parse(integral)) == (int, 500000)
+    assert (type(parse(decimal)), parse(decimal)) == (Fraction, decimal_value)
+
+
 def test_non_latin_digits_rejected():
     assert parse_latin_numeral("५००") is None
     assert parse_latin_numeral("౫౦") is None
