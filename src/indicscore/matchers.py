@@ -43,6 +43,7 @@ thresholds and the window slop are fixed module constants.
 
 from __future__ import annotations
 
+import math
 import re
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from itertools import accumulate, groupby
@@ -381,7 +382,8 @@ class EhrReport(Record):
         rates = [t.rate for t in self.per_class.values() if t.n > 0]
         if not rates:
             return None
-        return sum(rates) / len(rates)
+        # fsum: sum() of floats rounds differently before and from Python 3.12
+        return math.fsum(rates) / len(rates)
 
 
 def aggregate_ehr(results: Iterable[MatchResult]) -> EhrReport:

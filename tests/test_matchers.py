@@ -701,6 +701,12 @@ def test_aggregate_ehr_micro_and_macro():
     assert report.macro == pytest.approx((0.5 + 1.0) / 2)
 
 
+def test_aggregate_ehr_macro_is_the_same_on_every_python_version():
+    pairs = [(cls, i < hits) for cls, hits in (("brand", 1), ("digit_run", 2), ("pincode", 3)) for i in range(10)]
+    # rates 0.1, 0.2 and 0.3: a plain sum gives 0.20000000000000004 before Python 3.12
+    assert aggregate_ehr(results(pairs)).macro == 0.19999999999999998
+
+
 def test_aggregate_ehr_accepts_match_results():
     results = score_utterance([token("500081", "pincode")], "500081")
     report = aggregate_ehr(results)
