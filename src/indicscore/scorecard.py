@@ -9,6 +9,7 @@ byte-identical reports.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Iterable, Mapping, Sequence
 from pathlib import Path
 
@@ -194,12 +195,13 @@ def load_scorecard_record(path: str | Path) -> dict:
     except json.JSONDecodeError as exc:
         raise DataError(f"scorecard {path} is not valid JSON ({exc.msg})") from exc
     try:
-        valid = all(v is None or type(v) in (int, float) for v in _metric_values(record).values())
+        values = _metric_values(record).values()
+        valid = all(v is None or (type(v) in (int, float) and math.isfinite(v)) for v in values)
     except (KeyError, TypeError):
         valid = False
     if not valid:
         raise DataError(
-            f"scorecard {path} needs a number or null at each of wer.rate, cer.rate,"
+            f"scorecard {path} needs a finite number or null at each of wer.rate, cer.rate,"
             " sfr.value, ehr.micro and ehr.macro"
         )
     return record

@@ -696,6 +696,23 @@ def test_compare_non_object_metrics_exit_2(tmp_path, capsys):
     assert "wer.rate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, field, value", [("wer", "rate", "NaN"), ("ehr", "micro", "Infinity")])
+def test_compare_non_finite_metric_exits_2(tmp_path, holdout_path, preds_path, capsys, key, field, value):
+    card = tmp_path / "card.json"
+    assert run("score", "--holdout", holdout_path, "--predictions", preds_path, "--lang", "te",
+               "--out", str(card), "--detail", str(tmp_path / "d.jsonl")) == 0
+    record = json.loads(card.read_text(encoding="utf-8"))
+    record[key][field] = float(value)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(record), encoding="utf-8")
+    capsys.readouterr()
+    for cards in ((bad, card), (card, bad)):
+        assert run("compare", "--baseline", *map(str, cards), "--format", "records") == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"scorecard {bad} needs a finite number or null" in err
+
+
 def test_compare_refuses_other_currency_mode_or_normalization(tmp_path, holdout_path, preds_path, capsys):
     cards = {}
     for name, flags in (
