@@ -21,7 +21,7 @@ not log.
 from __future__ import annotations
 
 import argparse
-import io
+import itertools
 import os
 import sys
 from collections import Counter
@@ -50,24 +50,26 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(fmt: str, table, records, rows=None) -> None:
-    """Print a verb's result as ``--format`` ``fmt`` asks: the text ``table()``
-    returns, ``records`` as sorted-key JSON lines, or ``rows`` (else ``records``)
-    as CSV headed by the first row's keys. Each argument is read only in its own format."""
+    """Print a verb's result as ``--format`` ``fmt`` asks, as it goes: the lines ``table()``
+    returns, ``records`` as sorted-key JSON lines, or ``rows`` (else ``records``) as CSV
+    headed by the first row's keys. Each argument is read only in its own format."""
     if fmt == "table":
-        print(table())
+        lines = iter(table())
+        while block := list(itertools.islice(lines, 64)):  # 64 lines a write, also on an unbuffered stdout
+            print("\n".join(block))
     elif fmt == "records":
         for record in records:
             print(corpus.encode_sorted(record))
     else:
-        rows = list(records if rows is None else rows)
-        if rows:  # no rows, no header
+        rows = iter(records if rows is None else rows)
+        first = next(rows, None)
+        if first is not None:  # no rows, no header
             import csv
 
-            buffer = io.StringIO()
-            writer = csv.DictWriter(buffer, fieldnames=list(rows[0]), lineterminator="\n")
+            writer = csv.DictWriter(sys.stdout, fieldnames=list(first), lineterminator="\n")
             writer.writeheader()
+            writer.writerow(first)
             writer.writerows(rows)
-            print(buffer.getvalue(), end="")
 
 
 def _warn(source: str, message: str) -> None:
@@ -132,7 +134,7 @@ def cmd_score(args: argparse.Namespace) -> None:
         args.out or Path(args.predictions).with_suffix(".scorecard.json"),
         args.detail or Path(args.predictions).with_suffix(".detail.jsonl"),
     )
-    _emit(args.format, lambda: scorecard.render_scorecard(card), [record], [scorecard.flatten_scorecard(record)])
+    _emit(args.format, lambda: [scorecard.render_scorecard(card)], [record], [scorecard.flatten_scorecard(record)])
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +177,7 @@ def cmd_diagnose(args: argparse.Namespace) -> None:
     language, sfrs, decision = verdict.language, verdict.per_holdout_sfr, verdict.verdict
     _emit(
         args.format,
-        lambda: scorecard.render_verdict(verdict),
+        lambda: [scorecard.render_verdict(verdict)],
         [{"language": language, "per_holdout_sfr": sfrs, "verdict": decision}],
         [
             {"language": language, "holdout": name, "sfr": value, "verdict": decision}
@@ -196,7 +198,7 @@ def cmd_compare(args: argparse.Namespace) -> None:
     comparisons = scorecard.compare_records(baseline, candidates)
     _emit(
         args.format,
-        lambda: scorecard.render_comparison(comparisons),
+        lambda: [scorecard.render_comparison(comparisons)],
         comparisons,
         (
             {

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import marshal
 import os
 import sys
@@ -39,6 +40,7 @@ def _parse_weights(raw: str) -> dict[str, float]:
 # bytes, at most one per usable CPU, each in a process of its own. A smaller
 # part saves less than a fork and a merge cost.
 PART_BYTES = 1 << 18
+ID_CHUNK = 1 << 10  # a child sends its ids in lists of at most this many, not all in one message
 
 
 def _usable_cpus() -> int:
@@ -149,15 +151,16 @@ def _run_in_parts(manifest: str, body, paths: tuple, ranges: list):
         summary, seen, writers = _run_part(manifest, body, paths, 0, ranges[0][1], stack)
         for index, (pid, channel, parts) in enumerate(children, 2):
             with open(channel, "rb", closefd=False) as reader:
-                part_summary, part_ids = marshal.load(reader)
+                part_summary = marshal.load(reader)
+                while part_ids := marshal.load(reader):  # chunks of ids, then an empty list
+                    if not seen.keys().isdisjoint(part_ids):
+                        raise RuntimeError("an id is in two ranges")
+                    if index < len(ranges):  # the ranges after this one are checked against its ids too
+                        seen.update(zip(part_ids, part_ids))
             status = os.waitpid(pid, 0)[1]
             running.discard(pid)
             if status != 0:
                 raise RuntimeError(f"child {pid} exited with status {status}")
-            if not seen.keys().isdisjoint(part_ids):
-                raise RuntimeError("an id is in two ranges")
-            if index < len(ranges):  # the ranges after this one are checked against its ids too
-                seen.update(zip(part_ids, part_ids))
             summary = _merge(summary, part_summary)
             for writer, fd in zip(writers, parts):
                 if fd is not None:
@@ -189,14 +192,17 @@ def _run_part(manifest: str, body, targets, start: int, stop: int | None, stack:
 
 
 def _child(manifest: str, body, parts: list, start: int, stop: int | None, channel: int):
-    """A forked child's whole life: its range's rows go to the part files,
-    and its summary and ids to ``channel``. It never returns."""
+    """A forked child's whole life: its range's rows go to the part files, and its
+    summary, then its ids a list at a time, to ``channel``. It never returns."""
     code = 1
     try:
         with contextlib.ExitStack() as stack:
             summary, seen, _ = _run_part(manifest, body, parts, start, stop, stack)
         with open(channel, "wb") as out:
-            marshal.dump((summary, list(seen)), out)
+            marshal.dump(summary, out)
+            ids = list(seen)
+            for first in range(0, len(ids) + ID_CHUNK, ID_CHUNK):  # the last list is empty
+                marshal.dump(ids[first : first + ID_CHUNK], out)
         code = 0
     finally:
         os._exit(code)  # no cleanup of the parent's state runs in the child
@@ -297,9 +303,10 @@ def cmd_pipeline_balance(args: argparse.Namespace) -> None:
     from . import pipeline
 
     # Two reads of the manifest: ids and classes pick the rows, then the
-    # picked rows are copied in input order.
-    by_class = _run(args.manifest, lambda rows, outputs: pipeline.ids_by_class(rows))
-    selected = pipeline.sample_class_ids(by_class, args.per_class, args.seed)
+    # picked rows are copied in input order. Only the picked ids outlive the first.
+    selected = pipeline.sample_class_ids(
+        _run(args.manifest, lambda rows, outputs: pipeline.ids_by_class(rows)), args.per_class, args.seed
+    )
     if not os.path.isfile(args.manifest):
         raise DataError(f"balance reads its manifest twice; {args.manifest} is not a regular file")
 
@@ -339,7 +346,7 @@ def cmd_pipeline_validate(args: argparse.Namespace) -> None:
     summary = f"{clean} of {total} rows clean, {len(found)} violations"
     _emit(
         args.format,
-        lambda: "\n".join([*(f"{row_id}: {kind}: {detail}" for row_id, kind, detail in found), summary]),
+        lambda: itertools.chain((f"{row_id}: {kind}: {detail}" for row_id, kind, detail in found), [summary]),
         ({"id": row_id, "kind": kind, "detail": detail} for row_id, kind, detail in found),
     )
 

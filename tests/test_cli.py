@@ -1,15 +1,18 @@
 import argparse
+import contextlib
 import json
 import os
 import stat
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from indicscore import cli as cli_module
+from indicscore import pipeline_cli
 from indicscore.cli import build_parser, main
 from indicscore.matchers import CURRENCY_MODES
 from indicscore.numbers import REWRITE_MODES
@@ -906,6 +909,24 @@ def test_pipeline_validate_prints_each_format_in_full(jsonl_writer, capsys):
     for fmt, text in expected.items():
         assert run("pipeline", "validate", "--manifest", manifest, "--format", fmt) == 0
         assert capsys.readouterr().out == text
+
+
+def test_pipeline_validate_prints_its_table_as_it_goes(jsonl_writer, monkeypatch):
+    # records print one at a time; the table of the same violations must not
+    # be held whole either, so it peaks no higher (tracemalloc is exact)
+    rows = [{"id": f"r{i:05d}", "text": "ఒకటి", "language": "te", "corpus_class": "digits"} for i in range(4000)]
+    argv = ["pipeline", "validate", "--manifest", jsonl_writer("short.jsonl", rows), "--format"]
+    monkeypatch.setattr(pipeline_cli, "_usable_cpus", lambda: 1)  # every allocation in this process
+    peaks = {}
+    with open(os.devnull, "w", encoding="utf-8") as sink, contextlib.redirect_stdout(sink):
+        for fmt in ("records", "table", "records", "table"):  # the first two fill imports and memos
+            tracemalloc.start()
+            try:
+                assert run(*argv, fmt) == 0
+                peaks[fmt] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    assert peaks["table"] <= peaks["records"] + 16 * 1024, peaks
 
 
 @pytest.mark.parametrize("fmt, text", [("records", '{"a": "x"}\n'), ("csv", "a\nx\n")])

@@ -331,3 +331,31 @@ def test_any_manifest_gives_the_one_process_result(tmp_path_factory, verb, lines
     ]
     directory = tmp_path_factory.mktemp("parts")
     assert_parts_match_one_process(directory, encode(manifest, **layout), verb_argv(verb, **options), cpus)
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_an_id_repeated_in_a_later_chunk_of_a_child_gives_the_one_process_result(tmp_path, cpus):
+    # The last child's ids arrive in chunks of two; the id it repeats, from
+    # the range just before its own, is in its second chunk. With 3 CPUs
+    # that range is another child's, so its chunks must have joined the ids seen.
+    rows = [good_row(i) for i in range(12)]
+    (tmp_path / "m.jsonl").write_bytes(encode(rows))
+    with mock.patch.object(pipeline_cli, "PART_BYTES", 1), mock.patch.object(pipeline_cli, "_usable_cpus", lambda: cpus):
+        ranges = pipeline_cli._byte_ranges(str(tmp_path / "m.jsonl"), ())
+    assert len(ranges) == cpus
+    first = (tmp_path / "m.jsonl").read_bytes()[:ranges[-1][0]].count(b"\n")  # the last range's first line
+    rows[first + 2]["id"] = rows[first - 1]["id"]  # an id of the same length: the ranges do not move
+    raised = []
+    real_parts = pipeline_cli._run_in_parts
+
+    def spy(*args, **kwargs):
+        try:
+            return real_parts(*args, **kwargs)
+        except RuntimeError as exc:
+            raised.append(str(exc))
+            raise
+
+    with mock.patch.object(pipeline_cli, "ID_CHUNK", 2), mock.patch.object(pipeline_cli, "_run_in_parts", spy):
+        code, _, err, _ = assert_parts_match_one_process(tmp_path, encode(rows), verb_argv("route"), cpus)
+    assert raised == ["an id is in two ranges"]
+    assert code == 2 and f"duplicate id {rows[first - 1]['id']!r}" in err
