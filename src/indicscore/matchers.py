@@ -137,6 +137,14 @@ def _digit_run_present(ref: str, text: str) -> bool:
     return False
 
 
+def _amount_text(value: int | Fraction) -> str:
+    """A non-negative amount as its exact decimal numeral: 1500.75, not 6003/4. Amounts
+    are read from decimal numerals, so the denominator divides a power of ten."""
+    places = next(p for p in range(value.denominator.bit_length() + 1) if 10**p % value.denominator == 0)
+    whole, part = divmod(value.numerator * 10**places // value.denominator, 10**places)
+    return f"{whole}.{part:0{places}d}" if places else str(whole)
+
+
 def _surface_digits(surface: str) -> str:
     return "".join(ch for ch in nfkc_normalize(surface) if "0" <= ch <= "9")
 
@@ -211,7 +219,7 @@ def _match_currency(token: EntityToken, surface: str, hyp: str, config: ScoringC
 
     for value in parse_currency_expression(hyp, table):
         if CURRENCY_TOLERANCE_DIVISOR * abs(value - v_ref) <= v_ref:
-            return True, f"hypothesis amount {value} within 0.5% of {v_ref}"
+            return True, f"hypothesis amount {_amount_text(value)} within 0.5% of {_amount_text(v_ref)}"
     return False, ""
 
 

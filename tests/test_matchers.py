@@ -117,6 +117,16 @@ class TestMatcherRuleBoundaries:
         assert score_one(token("₹2.5 lakh", "currency_amount"), "rs 251250", currency_mode="strict").hit
         assert not score_one(token("₹2.5 lakh", "currency_amount"), "rs 251251", currency_mode="strict").hit
 
+    @pytest.mark.parametrize("surface, hypothesis, detail", [
+        ("₹1,500.75", "paid 1500.75 rupees", "hypothesis amount 1500.75 within 0.5% of 1500.75"),
+        ("₹2.50", "paid 2.5 rupees", "hypothesis amount 2.5 within 0.5% of 2.5"),
+        ("₹1.05", "paid 1.050 rupees", "hypothesis amount 1.05 within 0.5% of 1.05"),
+        ("₹2.5 lakh", "rs 251250", "hypothesis amount 251250 within 0.5% of 250000"),
+    ])
+    def test_currency_detail_writes_amounts_as_decimal_numerals(self, surface, hypothesis, detail):
+        # an exact decimal, never the reduced fraction (6003/4, 5/2) the amount is held as
+        assert score_one(token(surface, "currency_amount"), hypothesis, currency_mode="strict").detail == detail
+
     def test_currency_word_hypothesis_matches_digit_reference(self):
         assert score_one(token("₹5,00,000", "currency_amount"), "five lakh rupees", currency_mode="strict").hit
 
