@@ -46,6 +46,7 @@ from __future__ import annotations
 import math
 import re
 from collections.abc import Callable, Iterable, Mapping, Sequence
+from functools import lru_cache
 from itertools import accumulate, groupby
 from pathlib import Path
 from types import MappingProxyType
@@ -117,24 +118,23 @@ class AliasTable:
 # Helpers
 # ---------------------------------------------------------------------------
 
-def _digit_run_present(ref: str, text: str) -> bool:
-    """Whether ``ref`` is the digits of consecutive blocks of one fused run.
+@lru_cache(maxsize=1)  # the hypothesis being scored, which each digit and pincode token of its row reads
+def _fused_runs(text: str) -> tuple[tuple[str, frozenset[int]], ...]:
+    """The digits of each fused run of ``text``, with the offsets that bound its blocks.
 
     A fused run splits into groups at each space, and consecutive one-digit
     groups merge into one block: "98765 500081" offers 98765, 500081 and
     both together, while "5 0 0 0 8 1" offers only 500081. A comma groups
     the digits of one number, so "₹5,00,000" offers only 500000.
     """
+    runs = []
     for match in _FUSED_RUN_RE.finditer(text):
         groups = match.group().replace(",", "").split(" ")
-        digits = "".join(groups)
         blocks: list[str] = []
         for single, run in groupby(groups, lambda g: len(g) == 1):
             blocks += ["".join(run)] if single else run
-        bounds = set(accumulate(map(len, blocks), initial=0))
-        if any(digits.startswith(ref, start) and start + len(ref) in bounds for start in bounds):
-            return True
-    return False
+        runs.append(("".join(groups), frozenset(accumulate(map(len, blocks), initial=0))))
+    return tuple(runs)
 
 
 def _amount_text(value: int | Fraction) -> str:
@@ -183,7 +183,10 @@ def lcs_length(a: Sequence, b: Sequence) -> int:
 # ---------------------------------------------------------------------------
 
 def _run_verdict(ref: str, hyp: str) -> tuple[bool, str]:
-    return (True, f"run {ref} present") if ref and _digit_run_present(ref, hyp) else (False, "")
+    for digits, bounds in _fused_runs(hyp) if ref else ():  # ref must be whole blocks of one run
+        if any(digits.startswith(ref, start) and start + len(ref) in bounds for start in bounds):
+            return True, f"run {ref} present"
+    return False, ""
 
 
 def _match_digit_run(token: EntityToken, surface: str, hyp: str, config: ScoringConfig) -> tuple[bool, str]:
