@@ -481,7 +481,9 @@ def test_load_lexicon_reports_all_problems(tmp_path):
         "six\tsix\tunit\tlatin\n"
         "seven\t7\tverb\tlatin\n"
         "eight\t8\tunit\n"
-        "nine\t9\tunit\tcyrillic\n",
+        "nine\t9\tunit\tcyrillic\n"
+        "ten\tten\tverb\tlatin\n"
+        "eleven\televen\tunit\tcyrillic\n",
         encoding="utf-8",
     )
     with pytest.raises(DataError) as exc:
@@ -489,6 +491,15 @@ def test_load_lexicon_reports_all_problems(tmp_path):
     message = str(exc.value)
     assert "line 2" in message and "line 3" in message and "line 4" in message
     assert "line 5: unknown script 'cyrillic'; expected one of ('latin', 'native')" in message
+    # one problem a line: the kind, then the script, then the value
+    assert exc.value.details == [
+        "line 2: value 'six' is not an integer",
+        "line 3: unknown kind 'verb'; expected one of ('unit', 'multiplier', 'currency_marker')",
+        "line 4: expected 4 tab-separated fields, got 3",
+        "line 5: unknown script 'cyrillic'; expected one of ('latin', 'native')",
+        "line 6: unknown kind 'verb'; expected one of ('unit', 'multiplier', 'currency_marker')",
+        "line 7: unknown script 'cyrillic'; expected one of ('latin', 'native')",
+    ]
 
 
 def test_load_lexicon_ignores_a_byte_order_mark(tmp_path):
