@@ -110,12 +110,8 @@ class MultiplierTable(Record):
     currency_markers: frozenset[str]
 
     @cached_property
-    def spell_units(self) -> Mapping[int, str]:
-        return _first_words(self.units)
-
-    @cached_property
-    def spell_multipliers(self) -> Mapping[int, str]:
-        return _first_words(self.multipliers)
+    def spellings(self) -> Mapping[int, str]:
+        return _first_words({**self.units, **self.multipliers})  # their values never overlap
 
     @classmethod
     def from_entries(
@@ -409,38 +405,27 @@ def parse_currency_expression(text: str, table: MultiplierTable) -> list[int | F
 # Spelling
 # ---------------------------------------------------------------------------
 
-def _spelling_word(table: MultiplierTable, value: int, what: str) -> str:
-    words = table.spell_units if what == "unit" else table.spell_multipliers
-    word = words.get(value)
+def _spelling_word(table: MultiplierTable, value: int) -> str:
+    word = table.spellings.get(value)
     if word is None:
-        raise ConfigurationError(
-            f"table {table.language!r} has no {what} word for {value}; cannot spell"
-        )
+        what = "multiplier" if value >= 1000 else "unit"
+        raise ConfigurationError(f"table {table.language!r} has no {what} word for {value}; cannot spell")
     return word
 
 
-def _spell_small(n: int, table: MultiplierTable) -> list[str]:
-    # 1..99: a single word when the table has one, else tens + ones.
-    if n in table.spell_units:
-        return [table.spell_units[n]]
+def _spell(n: int, table: MultiplierTable) -> list[str]:
+    # 1 <= n < 10**12: the largest scale n reaches, with its count and the rest
+    # spelled by this same rule; below 100 the table's own word, else tens + ones
+    for scale in (_CRORE, 10**5, 1000, 100):
+        if n >= scale:
+            count, rest = divmod(n, scale)
+            return _spell(count, table) + [_spelling_word(table, scale)] + (_spell(rest, table) if rest else [])
+    if n in table.spellings:
+        return [table.spellings[n]]
     tens, ones = divmod(n, 10)
     if tens == 0 or ones == 0:
         raise ConfigurationError(f"table {table.language!r} has no unit word for {n}")
-    return [_spelling_word(table, tens * 10, "unit"), _spelling_word(table, ones, "unit")]
-
-
-def _spell_count(n: int, table: MultiplierTable) -> list[str]:
-    # 0..99999: the count in front of one multiplier, or the part below a lakh.
-    words: list[str] = []
-    if n >= 1000:
-        q, n = divmod(n, 1000)
-        words += _spell_small(q, table) + [_spelling_word(table, 1000, "multiplier")]
-    if n >= 100:
-        q, n = divmod(n, 100)
-        words += _spell_small(q, table) + [_spelling_word(table, 100, "unit")]
-    if n:
-        words += _spell_small(n, table)
-    return words
+    return [_spelling_word(table, tens * 10), _spelling_word(table, ones)]
 
 
 def spell_number(value: int, table: MultiplierTable) -> list[str]:
@@ -453,15 +438,7 @@ def spell_number(value: int, table: MultiplierTable) -> list[str]:
         raise ValueError(f"spell_number takes an int, got {type(value).__name__}")
     if not 0 <= value < _SPELL_LIMIT:
         raise ValueError(f"value {value} outside spellable range [0, 10^12)")
-    if value == 0:
-        return [_spelling_word(table, 0, "unit")]
-    words: list[str] = []
-    n = value
-    for mult in (_CRORE, 10**5):
-        if n >= mult:
-            q, n = divmod(n, mult)
-            words += _spell_count(q, table) + [_spelling_word(table, mult, "multiplier")]
-    return words + _spell_count(n, table)
+    return _spell(value, table) if value else [_spelling_word(table, 0)]
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +464,7 @@ def rewrite_digit_runs(text: str, table: MultiplierTable, mode: str = "grouped")
         run, text, start = match.group().replace(",", ""), match.string, match.start()
         fraction = text[start - 1 : start] == "." and "0" <= text[start - 2 : start - 1] <= "9"
         if mode == "digit_by_digit" or len(run) == 1 or run[0] == "0" or fraction:
-            return " ".join(_spelling_word(table, int(d), "unit") for d in run)
+            return " ".join(_spelling_word(table, int(d)) for d in run)
         if int(run) >= _SPELL_LIMIT:
             raise DataError(f"digit run {match.group()} is too long to spell in grouped mode")
         return " ".join(spell_number(int(run), table))

@@ -10,9 +10,6 @@ from indicscore.matchers import ScoringConfig
 from indicscore.numbers import (
     ENGLISH_TABLE,
     _english_entries,
-    _spell_count,
-    _spell_small,
-    _spelling_word,
     MultiplierTable,
     load_language_table,
     load_lexicon,
@@ -341,20 +338,49 @@ def test_spell_parse_round_trip(value, lang):
 
 
 def oracle_spell_number(value, table):
-    # spell_number as it stood with its own thousand, hundred and unit steps
+    # spell_number as it stood with its own thousand, hundred and unit steps,
+    # over a first-word lookup of its own
+    def word(value, what):
+        for w, v in (table.units if what == "unit" else table.multipliers).items():
+            if v == value:
+                return w
+        raise ConfigurationError(f"table {table.language!r} has no {what} word for {value}; cannot spell")
+
+    def small(n):
+        # 1..99: a single word when the table has one, else tens + ones
+        if n in table.units.values():
+            return [word(n, "unit")]
+        tens, ones = divmod(n, 10)
+        if tens == 0 or ones == 0:
+            raise ConfigurationError(f"table {table.language!r} has no unit word for {n}")
+        return [word(tens * 10, "unit"), word(ones, "unit")]
+
+    def count(n):
+        # 0..99999: the count in front of one multiplier
+        words = []
+        if n >= 1000:
+            q, n = divmod(n, 1000)
+            words += small(q) + [word(1000, "multiplier")]
+        if n >= 100:
+            q, n = divmod(n, 100)
+            words += small(q) + [word(100, "unit")]
+        if n:
+            words += small(n)
+        return words
+
     if value == 0:
-        return [_spelling_word(table, 0, "unit")]
+        return [word(0, "unit")]
     words = []
     n = value
     for mult in (10**7, 10**5, 10**3):
         if n >= mult:
             q, n = divmod(n, mult)
-            words += _spell_count(q, table) + [_spelling_word(table, mult, "multiplier")]
+            words += count(q) + [word(mult, "multiplier")]
     if n >= 100:
         q, n = divmod(n, 100)
-        words += _spell_small(q, table) + [_spelling_word(table, 100, "unit")]
+        words += small(q) + [word(100, "unit")]
     if n:
-        words += _spell_small(n, table)
+        words += small(n)
     return words
 
 
@@ -364,9 +390,33 @@ def oracle_spell_number(value, table):
 @example(99999, "ta")
 @example(10**5, "hi")
 @example(10**7 + 1, "en")
+@example(25, "te")  # tens + ones
+@example(99, "ta")
+@example(100, "en")  # the hundred step
+@example(12_345_678_901, "hi")  # a crore count with thousands and hundreds
 def test_spell_number_matches_its_former_steps(value, lang):
     table = ALL_TABLES[lang]
     assert spell_number(value, table) == oracle_spell_number(value, table)
+
+
+DIGITS_ONLY = MultiplierTable.from_entries(
+    "xx", [(word, value, "unit", "latin") for value, word in enumerate(["zero", "one", "two", "three", "four",
+                                                                         "five", "six", "seven", "eight", "nine"])]
+)
+
+
+@pytest.mark.parametrize("value, message", [
+    (10, "table 'xx' has no unit word for 10"),
+    (25, "table 'xx' has no unit word for 20; cannot spell"),
+    (100, "table 'xx' has no unit word for 100; cannot spell"),
+    (1000, "table 'xx' has no multiplier word for 1000; cannot spell"),
+])
+def test_a_missing_word_raises_as_the_former_steps_did(value, message):
+    with pytest.raises(ConfigurationError) as former:
+        oracle_spell_number(value, DIGITS_ONLY)
+    with pytest.raises(ConfigurationError) as exc:
+        spell_number(value, DIGITS_ONLY)
+    assert str(exc.value) == str(former.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +587,7 @@ def test_first_spelling_wins():
         "xx",
         [("five", 5, "unit", "latin"), ("fiver", 5, "unit", "latin")],
     )
-    assert table.spell_units[5] == "five"
+    assert table.spellings[5] == "five"
     assert parse_number_words(["fiver"], table) == 5
 
 
@@ -568,8 +618,8 @@ def stored_spellings(lang):
 @pytest.mark.parametrize("lang", sorted(ALL_TABLES))
 def test_derived_spellings_equal_the_stored_ones(lang):
     units, multipliers = stored_spellings(lang)
-    assert ALL_TABLES[lang].spell_units == units
-    assert ALL_TABLES[lang].spell_multipliers == multipliers
+    assert not units.keys() & multipliers.keys()
+    assert ALL_TABLES[lang].spellings == {**units, **multipliers}
 
 
 @pytest.mark.parametrize("lang", ["te", "ta", "hi"])
@@ -578,8 +628,7 @@ def test_derived_spellings_of_an_english_merge_equal_the_stored_ones(lang):
     units, multipliers = stored_spellings(lang)
     en_units, en_multipliers = stored_spellings("en")
     merged = ScoringConfig(language=lang).table_for(lang)
-    assert merged.spell_units == {**en_units, **units}
-    assert merged.spell_multipliers == {**en_multipliers, **multipliers}
+    assert merged.spellings == {**en_units, **units, **en_multipliers, **multipliers}
 
 
 def test_merged_with_prefers_own_entries():
