@@ -154,13 +154,19 @@ def _first_words(words: Mapping[str, int]) -> dict[int, str]:
 
 
 def _add_word(
-    words: Mapping[str, dict[str, int]], language: str, word: str, value: int, kind: str, script: str
+    words: Mapping[str, dict[str, int]], language: str, word: str, value: int | str, kind: str, script: str
 ) -> None:
     """Add one lexicon entry to ``words``, which maps each kind to its
     casefolded words and their values; an entry the table of ``language``
-    cannot hold raises ConfigurationError."""
+    cannot hold raises ConfigurationError. A currency marker's value is not read."""
+    if kind not in words:
+        raise ConfigurationError(f"unknown kind {kind!r}; expected one of {LEXICON_KINDS}")
     if script not in LEXICON_SCRIPTS:
-        raise ConfigurationError(f"unknown lexicon script {script!r} for word {word!r}")
+        raise ConfigurationError(f"unknown script {script!r}; expected one of {LEXICON_SCRIPTS}")
+    try:
+        value = 0 if kind == "currency_marker" else int(value)
+    except ValueError:
+        raise ConfigurationError(f"value {value!r} is not an integer") from None
     w = casefold_normalize(word).strip()
     if not w or " " in w:
         raise ConfigurationError(f"lexicon word {word!r} must be one non-empty token")
@@ -170,8 +176,6 @@ def _add_word(
         raise ConfigurationError(f"unit {word!r} has value {value}, outside 0..100")
     if kind == "multiplier" and (value < 1000 or not _is_power_of_ten(value)):
         raise ConfigurationError(f"multiplier {word!r} has value {value}; expected a power of 10 >= 1000")
-    if kind not in words:
-        raise ConfigurationError(f"unknown lexicon kind {kind!r} for word {word!r}")
     words[kind][w] = value
 
 
@@ -197,26 +201,10 @@ def load_lexicon(path: str | Path, language: str | None = None) -> MultiplierTab
     words: dict[str, dict[str, int]] = {kind: {} for kind in LEXICON_KINDS}
     problems: list[str] = []
     for lineno, fields in read_table(path):
-        if len(fields) != 4:
-            problems.append(f"line {lineno}: expected 4 tab-separated fields, got {len(fields)}")
-            continue
-        word, raw_value, kind, script = fields
-        if kind not in LEXICON_KINDS:
-            problems.append(f"line {lineno}: unknown kind {kind!r}; expected one of {LEXICON_KINDS}")
-            continue
-        if script not in LEXICON_SCRIPTS:
-            problems.append(f"line {lineno}: unknown script {script!r}; expected one of {LEXICON_SCRIPTS}")
-            continue
-        if kind == "currency_marker":
-            value = 0
-        else:
-            try:
-                value = int(raw_value)
-            except ValueError:
-                problems.append(f"line {lineno}: value {raw_value!r} is not an integer")
-                continue
         try:
-            _add_word(words, language, word, value, kind, script)
+            if len(fields) != 4:
+                raise ConfigurationError(f"expected 4 tab-separated fields, got {len(fields)}")
+            _add_word(words, language, *fields)
         except ConfigurationError as exc:
             problems.append(f"line {lineno}: {exc}")
     if problems:

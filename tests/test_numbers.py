@@ -552,6 +552,17 @@ def test_load_lexicon_reports_all_problems(tmp_path):
     ]
 
 
+@pytest.mark.parametrize("entry, message", [
+    (("five", 5, "verb", "latin"), "unknown kind 'verb'; expected one of ('unit', 'multiplier', 'currency_marker')"),
+    (("five", 5, "unit", "cyrillic"), "unknown script 'cyrillic'; expected one of ('latin', 'native')"),
+    (("five", "5x", "unit", "latin"), "value '5x' is not an integer"),
+])
+def test_from_entries_reports_a_bad_entry_as_load_lexicon_does(entry, message):
+    with pytest.raises(ConfigurationError) as exc:
+        MultiplierTable.from_entries("xx", [entry])
+    assert str(exc.value) == message
+
+
 def test_load_lexicon_ignores_a_byte_order_mark(tmp_path):
     text = "# demo\nfive\t5\tunit\tlatin\nlakh\t100000\tmultiplier\tlatin\nrs\t0\tcurrency_marker\tlatin\n"
     plain, marked = tmp_path / "plain.tsv", tmp_path / "marked.tsv"
