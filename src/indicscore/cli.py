@@ -53,13 +53,10 @@ def _emit(fmt: str, table, records, rows=None) -> None:
     """Print a verb's result as ``--format`` ``fmt`` asks, as it goes: the lines ``table()``
     returns, ``records`` as sorted-key JSON lines, or ``rows`` (else ``records``) as CSV
     headed by the first row's keys. Each argument is read only in its own format."""
-    if fmt == "table":
-        lines = iter(table())
+    if fmt != "csv":
+        lines = iter(table()) if fmt == "table" else map(corpus.encode_sorted, records)
         while block := list(itertools.islice(lines, 64)):  # 64 lines a write, also on an unbuffered stdout
             print("\n".join(block))
-    elif fmt == "records":
-        for record in records:
-            print(corpus.encode_sorted(record))
     else:
         rows = iter(records if rows is None else rows)
         first = next(rows, None)

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import io
 import json
 import os
 import stat
@@ -912,8 +913,8 @@ def test_pipeline_validate_prints_each_format_in_full(jsonl_writer, capsys):
 
 
 def test_pipeline_validate_prints_its_table_as_it_goes(jsonl_writer, monkeypatch):
-    # records print one at a time; the table of the same violations must not
-    # be held whole either, so it peaks no higher (tracemalloc is exact)
+    # records print 64 at a time as they are encoded; the table of the same
+    # violations must not be held whole either, so it peaks no higher (tracemalloc is exact)
     rows = [{"id": f"r{i:05d}", "text": "ఒకటి", "language": "te", "corpus_class": "digits"} for i in range(4000)]
     argv = ["pipeline", "validate", "--manifest", jsonl_writer("short.jsonl", rows), "--format"]
     monkeypatch.setattr(pipeline_cli, "_usable_cpus", lambda: 1)  # every allocation in this process
@@ -936,6 +937,27 @@ def test_emit_renders_the_table_only_for_table_format(fmt, text, capsys):
 
     cli_module._emit(fmt, table, iter([{"a": "x"}]))
     assert capsys.readouterr().out == text
+
+
+class CountingStdout(io.StringIO):
+    """A stdout that counts its write calls, as an unbuffered one makes them."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("fmt", ["table", "records"])
+def test_emit_prints_64_lines_to_a_write(fmt):
+    records = [{"id": f"r{i:05d}", "kind": "length", "detail": "ఒకటి"} for i in range(4000)]
+    lines = [json.dumps(record, ensure_ascii=False, sort_keys=True) for record in records]
+    out = CountingStdout()
+    with contextlib.redirect_stdout(out):
+        cli_module._emit(fmt, lambda: iter(lines), iter(records))
+    assert out.getvalue() == "".join(line + "\n" for line in lines)
+    assert out.writes <= 2 * -(-4000 // 64)
 
 
 def cli_child(*argv, **popen_options):
