@@ -47,15 +47,11 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _line_end(handle, offset: int) -> int | None:
-    """The offset just after the first newline at or after ``offset``, if any."""
+def _line_end(handle, offset: int) -> int:
+    """The offset just after the first newline at or after ``offset``, else the file's size."""
     handle.seek(offset)
-    while chunk := handle.read(1 << 16):
-        newline = chunk.find(b"\n")
-        if newline != -1:
-            return offset + newline + 1
-        offset += len(chunk)
-    return None
+    handle.readline()
+    return handle.tell()
 
 
 def _byte_ranges(manifest: str, paths: tuple) -> list[tuple[int, int | None]]:
@@ -83,7 +79,7 @@ def _byte_ranges(manifest: str, paths: tuple) -> list[tuple[int, int | None]]:
         with open(manifest, "rb") as handle:
             for k in range(1, parts):
                 cut = _line_end(handle, max(size * k // parts - 1, cuts[-1]))
-                if cut is None or cut >= size:
+                if cut >= size:
                     break
                 cuts.append(cut)
     return list(zip(cuts, cuts[1:] + [None]))

@@ -201,6 +201,22 @@ def test_options_give_the_one_process_result(tmp_path, verb, options, code):
     assert assert_parts_match_one_process(tmp_path, manifest, verb_argv(verb, **options))[0] == code
 
 
+@pytest.mark.parametrize("cpus, range_count", [(2, 1), (3, 2)])
+@pytest.mark.parametrize("verb", VERBS)
+def test_a_cut_in_a_last_line_without_a_newline_gives_the_one_process_result(tmp_path, verb, cpus, range_count):
+    # the last cut falls inside the long last line, which no newline ends, so
+    # the range before it runs to the end of the file
+    long_row = good_row(12, text=" ".join(["పరీక్ష"] * 60), status=clean_rows(verb)[0]["status"])
+    manifest = encode(clean_rows(verb)[:6] + [long_row], last_newline=False)
+    last_line = manifest.rindex(b"\n") + 1
+    assert last_line < len(manifest) * (cpus - 1) // cpus - 1  # where _byte_ranges looks for its last cut
+    (tmp_path / "m.jsonl").write_bytes(manifest)
+    with mock.patch.object(pipeline_cli, "PART_BYTES", 1), mock.patch.object(pipeline_cli, "_usable_cpus", lambda: cpus):
+        ranges = pipeline_cli._byte_ranges(str(tmp_path / "m.jsonl"), ())
+    assert len(ranges) == range_count and ranges[-1][0] < last_line and ranges[-1][1] is None
+    assert_parts_match_one_process(tmp_path, manifest, verb_argv(verb), cpus)
+
+
 @pytest.mark.parametrize("verb, row", [
     ("filter", good_row(50, status="synthesized", cer_against_source=None)),
     ("split", good_row(50, status="synthesized")),
