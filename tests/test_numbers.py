@@ -400,8 +400,7 @@ def test_spell_number_matches_its_former_steps(value, lang):
 
 
 DIGITS_ONLY = MultiplierTable.from_entries(
-    "xx", [(word, value, "unit", "latin") for value, word in enumerate(["zero", "one", "two", "three", "four",
-                                                                         "five", "six", "seven", "eight", "nine"])]
+    "xx", [(word, value, "unit", "latin") for value, word in enumerate("zero one two three four five six seven eight nine".split())]
 )
 
 
