@@ -31,7 +31,6 @@ from .corpus import (
 )
 from .errors import ConfigurationError, DataError
 from .record import Record
-from .script import script_block
 from .textnorm import nfkc_normalize, token_count
 
 # Forward-only transition ranks; the two terminal states share a rank.
@@ -224,16 +223,6 @@ class ValidationConfig(Record):
             raise ConfigurationError(f"purity threshold {self.purity_threshold} is outside [0, 1]")
 
 
-def _merge_spans(spans: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
-    merged: list[tuple[int, int]] = []
-    for start, end in sorted(spans):
-        if merged and start <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], end))
-        else:
-            merged.append((start, end))
-    return merged
-
-
 def validate_corpus_row(
     row: HoldoutRow | ManifestRow, config: ValidationConfig = ValidationConfig()
 ) -> list[Violation]:
@@ -245,7 +234,6 @@ def validate_corpus_row(
     """
     if row.language is None:
         raise DataError(f"row {row.id!r}: no language given for validation")
-    script_block(row.language)  # unknown language is a configuration error
 
     violations: list[Violation] = []
     text = nfkc_normalize(row.text)
@@ -271,7 +259,7 @@ def validate_corpus_row(
             )
 
     # read from corpus on each call, where a caller may have wrapped it
-    if not corpus.script_purity_check(text, row.language, _merge_spans(spans), config.purity_threshold):
+    if not corpus.script_purity_check(text, row.language, spans, config.purity_threshold):
         violations.append(
             Violation("script_purity", f"off-script content exceeds {1 - config.purity_threshold:.0%}")
         )

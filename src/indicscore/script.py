@@ -9,7 +9,7 @@ Digits and punctuation never affect the rate.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
 from .errors import ConfigurationError, DataError
 from .record import Record
@@ -70,35 +70,27 @@ def aggregate_sfr(results: Iterable[SfrResult]) -> SfrResult:
     return SfrResult(letter_count=letters, in_block_count=in_block)
 
 
-def _validate_spans(spans: Sequence[tuple[int, int]], text_length: int) -> list[tuple[int, int]]:
-    ordered = sorted(spans)
-    prev_end = 0
-    for start, end in ordered:
-        if not (0 <= start < end <= text_length):
-            raise DataError(f"span ({start}, {end}) out of range for text of length {text_length}")
-        if start < prev_end:
-            raise DataError(f"span ({start}, {end}) overlaps a previous span")
-        prev_end = end
-    return ordered
-
 def script_purity_check(
     text: str,
     language: str,
-    allowed_spans: Sequence[tuple[int, int]] = (),
+    allowed_spans: Iterable[tuple[int, int]] = (),
     threshold: float = 0.8,
 ) -> bool:
     """True when SFR over the text outside ``allowed_spans`` meets threshold.
 
     Spans are half-open character ranges marking stretches (Latin brand
     names, codes) that are allowed to be off-script; letters inside them
-    are ignored. A text with no countable letters fails the check.
+    are ignored. Spans may overlap or touch, and their union is left out.
+    An empty, reversed or out-of-range span raises DataError. A text with
+    no countable letters fails the check.
     """
-    ordered = _validate_spans(allowed_spans, len(text))
     kept = []
     pos = 0
-    for start, end in ordered:
-        kept.append(text[pos:start])
-        pos = end
+    for start, end in sorted(allowed_spans):
+        if not (0 <= start < end <= len(text)):
+            raise DataError(f"span ({start}, {end}) out of range for text of length {len(text)}")
+        kept.append(text[pos:start])  # empty where the span starts inside the cut
+        pos = max(pos, end)
     kept.append(text[pos:])
     value = sfr("".join(kept), language).value
     return value is not None and value >= threshold

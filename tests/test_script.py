@@ -1,9 +1,10 @@
+import math
 import random
 import sys
 import unicodedata
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from indicscore.errors import ConfigurationError, DataError
@@ -151,7 +152,34 @@ def test_purity_check_rejects_bad_spans():
     with pytest.raises(DataError):
         script_purity_check(TELUGU, "te", allowed_spans=[(0, 99)])
     with pytest.raises(DataError):
-        script_purity_check(TELUGU, "te", allowed_spans=[(0, 3), (2, 5)])
+        script_purity_check(TELUGU, "te", allowed_spans=[(0, 3), (2, 2)])  # empty, even inside another
+
+
+def _union(spans):
+    """Half-open spans merged into sorted disjoint ones; touching spans join."""
+    union = []
+    for start, end in sorted(spans):
+        if union and start <= union[-1][1]:
+            union[-1] = (union[-1][0], max(union[-1][1], end))
+        else:
+            union.append((start, end))
+    return union
+
+
+@given(st.data())
+def test_purity_check_leaves_out_the_union_of_overlapping_spans(data):
+    text = data.draw(st.text(alphabet="నమస్కారంPaytm 1", min_size=2, max_size=30))
+    span = st.tuples(st.integers(0, len(text) - 1), st.integers(1, len(text))).filter(lambda s: s[0] < s[1])
+    spans = data.draw(st.lists(span, min_size=2, max_size=6))
+    union = _union(spans)
+    assume(len(union) < len(spans))  # some spans overlap or touch
+    starts, ends = [start for start, _ in union] + [len(text)], [0] + [end for _, end in union]
+    value = sfr("".join(text[end:start] for end, start in zip(ends, starts)), "te").value
+    # at the union's own SFR and just above it, so that any other SFR gives another answer
+    for threshold in (0.8,) if value is None else (value, math.nextafter(value, 2)):
+        expected = value is not None and value >= threshold
+        assert script_purity_check(text, "te", spans, threshold) is expected
+        assert script_purity_check(text, "te", union, threshold) is expected
 
 
 def test_sfr_result_is_plain_data():
