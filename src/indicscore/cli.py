@@ -53,20 +53,21 @@ def _emit(fmt: str, table, records, rows=None) -> None:
     """Print a verb's result as ``--format`` ``fmt`` asks, as it goes: the lines ``table()``
     returns, ``records`` as sorted-key JSON lines, or ``rows`` (else ``records``) as CSV
     headed by the first row's keys. Each argument is read only in its own format."""
-    if fmt != "csv":
-        lines = iter(table()) if fmt == "table" else map(corpus.encode_sorted, records)
-        while block := list(itertools.islice(lines, 64)):  # 64 lines a write, also on an unbuffered stdout
-            print("\n".join(block))
-    else:
+    if fmt == "csv":
         rows = iter(records if rows is None else rows)
         first = next(rows, None)
-        if first is not None:  # no rows, no header
-            import csv
+        if first is None:  # no rows, no header
+            return
+        import csv
+        from types import SimpleNamespace
 
-            writer = csv.DictWriter(sys.stdout, fieldnames=list(first), lineterminator="\n")
-            writer.writeheader()
-            writer.writerow(first)
-            writer.writerows(rows)
+        # writerow returns what its file's write returns: here the row's line, less its end
+        writer = csv.DictWriter(SimpleNamespace(write=lambda line: line[:-1]), list(first), lineterminator="\n")
+        lines = itertools.chain([writer.writeheader(), writer.writerow(first)], map(writer.writerow, rows))
+    else:
+        lines = iter(table()) if fmt == "table" else map(corpus.encode_sorted, records)
+    while block := list(itertools.islice(lines, 64)):  # 64 lines a write, also on an unbuffered stdout
+        print("\n".join(block))
 
 
 def _warn(source: str, message: str) -> None:

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import csv
 import io
 import json
 import os
@@ -949,15 +950,26 @@ class CountingStdout(io.StringIO):
         return super().write(text)
 
 
-@pytest.mark.parametrize("fmt", ["table", "records"])
+@pytest.mark.parametrize("fmt", ["table", "records", "csv"])
 def test_emit_prints_64_lines_to_a_write(fmt):
-    records = [{"id": f"r{i:05d}", "kind": "length", "detail": "ఒకటి"} for i in range(4000)]
+    # every third detail needs CSV quoting, and holds a line break inside its quotes
+    records = [
+        {"id": f"r{i:05d}", "kind": "length", "detail": 'ఒకటి, "రెండు"\nమూడు' if i % 3 == 0 else "ఒకటి"}
+        for i in range(4000)
+    ]
     lines = [json.dumps(record, ensure_ascii=False, sort_keys=True) for record in records]
+    expected = io.StringIO()
+    if fmt == "csv":
+        writer = csv.DictWriter(expected, fieldnames=list(records[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(records)
+    else:
+        expected.writelines(line + "\n" for line in lines)
     out = CountingStdout()
     with contextlib.redirect_stdout(out):
         cli_module._emit(fmt, lambda: iter(lines), iter(records))
-    assert out.getvalue() == "".join(line + "\n" for line in lines)
-    assert out.writes <= 2 * -(-4000 // 64)
+    assert out.getvalue() == expected.getvalue()
+    assert out.writes <= 2 * -(-4001 // 64)  # the CSV header is a line too
 
 
 def cli_child(*argv, **popen_options):
