@@ -130,14 +130,11 @@ class MultiplierTable(Record):
         """
         units = dict(self.units)
         multipliers = dict(self.multipliers)
-        for word, value in other.units.items():
-            if units.get(word, value) != value or word in multipliers:
-                raise ConfigurationError(f"conflicting value for word {word!r} in merged table")
-            units.setdefault(word, value)
-        for word, value in other.multipliers.items():
-            if multipliers.get(word, value) != value or word in units:
-                raise ConfigurationError(f"conflicting value for word {word!r} in merged table")
-            multipliers.setdefault(word, value)
+        for mine, theirs, rest in ((units, other.units, multipliers), (multipliers, other.multipliers, units)):
+            for word, value in theirs.items():
+                if mine.get(word, value) != value or word in rest:
+                    raise ConfigurationError(f"conflicting value for word {word!r} in merged table")
+                mine.setdefault(word, value)
         return MultiplierTable(
             language=self.language,
             units=units,
