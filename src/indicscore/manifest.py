@@ -7,6 +7,7 @@ JSONL plumbing of `corpus`, and its entity tokens are `corpus.EntityToken`s.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -35,6 +36,7 @@ from .textnorm import nfkc_normalize, token_count
 
 # Forward-only transition ranks; the two terminal states share a rank.
 _STATUS_RANK = {"pending": 0, "synthesized": 1, "filtered_out": 2, "accepted": 2}
+_REQUIRED = ("id", "text", "language", "corpus_class")  # the fields a manifest line must hold as strings
 
 
 @dataclass(frozen=True)
@@ -76,27 +78,33 @@ def read_manifest(path: str | Path) -> Iterator[ManifestRow]:
     DataError, after the last line, so a consumer must finish the
     iteration before acting on what it was given.
     """
-    return _read_manifest(Path(path), {})
+    return _read_manifest(Path(path), set())
 
 
 def _read_manifest(
-    path: Path, seen: dict[str, int], start: int = 0, stop: int | None = None
+    path: Path, seen: set[str], start: int = 0, stop: int | None = None
 ) -> Iterator[ManifestRow]:
     # read_manifest over the byte range [start, stop) of the file, which
-    # begins a line and ends one; the ids read are left as keys of ``seen``.
+    # begins a line and ends one; the ids read are left in ``seen``.
     problems: list[str] = []
+    # each id's first line: read again at a file's first duplicate, kept as read from a stream
+    first_lines: dict[str, int] | None = None if path.is_file() else {}
     for lineno, record in _iter_jsonl(path, "manifest", problems, start, stop):
         get = record.get
         row_id, text, language, corpus_class = get("id"), get("text"), get("language"), get("corpus_class")
         if not (row_id and text and language and corpus_class and isinstance(row_id, str)
                 and isinstance(text, str) and isinstance(language, str) and isinstance(corpus_class, str)):
-            for key in ("id", "text", "language", "corpus_class"):  # a message for each that fails
+            for key in _REQUIRED:  # a message for each that fails
                 _required_str(record, key, lineno, problems)
             continue
         if row_id in seen:
-            problems.append(f"line {lineno}: duplicate id {row_id!r} (first seen on line {seen[row_id]})")
+            if first_lines is None:
+                first_lines = _first_lines(path, start, stop)
+            problems.append(f"line {lineno}: duplicate id {row_id!r} (first seen on line {first_lines[row_id]})")
             continue
-        seen[row_id] = lineno
+        seen.add(row_id)
+        if first_lines is not None:
+            first_lines.setdefault(row_id, lineno)
         if corpus_class not in CORPUS_CLASSES:
             problems.append(f"line {lineno}: unknown corpus_class {corpus_class!r}")
             continue
@@ -128,6 +136,17 @@ def _read_manifest(
             "synth_system": synth_system, "cer_against_source": cer_value, "status": status,
             "entity_tokens": tokens,
         })
+
+
+def _first_lines(path: Path, start: int, stop: int | None) -> dict[str, int]:
+    """Each id's first line in the byte range [start, stop), counting the lines whose required fields pass."""
+    first: dict[str, int] = {}
+    with contextlib.suppress(DataError):  # the first read reports the range's problems
+        for lineno, record in _iter_jsonl(path, "manifest", [], start, stop):
+            values = [record.get(key) for key in _REQUIRED]
+            if all(isinstance(value, str) and value for value in values):
+                first.setdefault(values[0], lineno)
+    return first
 
 
 def load_manifest(path: str | Path) -> list[ManifestRow]:

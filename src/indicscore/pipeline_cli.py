@@ -149,10 +149,10 @@ def _run_in_parts(manifest: str, body, paths: tuple, ranges: list):
             with open(channel, "rb", closefd=False) as reader:
                 part_summary = marshal.load(reader)
                 while part_ids := marshal.load(reader):  # chunks of ids, then an empty list
-                    if not seen.keys().isdisjoint(part_ids):
+                    if not seen.isdisjoint(part_ids):
                         raise RuntimeError("an id is in two ranges")
                     if index < len(ranges):  # the ranges after this one are checked against its ids too
-                        seen.update(zip(part_ids, part_ids))
+                        seen.update(part_ids)
             status = os.waitpid(pid, 0)[1]
             running.discard(pid)
             if status != 0:
@@ -170,7 +170,7 @@ def _run_part(manifest: str, body, targets, start: int, stop: int | None, stack:
     returns the summary, the ids read and the writers. When the body raises,
     the rest of the range is still read, so that a malformed manifest is the
     error reported."""
-    seen: dict[str, int] = {}
+    seen: set[str] = set()
     writers: list = []
 
     def outputs():
@@ -196,9 +196,10 @@ def _child(manifest: str, body, parts: list, start: int, stop: int | None, chann
             summary, seen, _ = _run_part(manifest, body, parts, start, stop, stack)
         with open(channel, "wb") as out:
             marshal.dump(summary, out)
-            ids = list(seen)
-            for first in range(0, len(ids) + ID_CHUNK, ID_CHUNK):  # the last list is empty
-                marshal.dump(ids[first : first + ID_CHUNK], out)
+            ids = iter(seen)
+            while chunk := list(itertools.islice(ids, ID_CHUNK)):
+                marshal.dump(chunk, out)
+            marshal.dump([], out)  # the end of the ids
         code = 0
     finally:
         os._exit(code)  # no cleanup of the parent's state runs in the child

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -372,6 +373,38 @@ def test_read_manifest_streams_and_raises_after_the_last_line(tmp_path):
     assert exc.value.details == [
         "line 2: invalid JSON (Expecting property name enclosed in double quotes)",
         "line 4: duplicate id 'm1' (first seen on line 1)",
+    ]
+
+
+@pytest.mark.parametrize("stream", [False, True])
+def test_a_duplicate_id_names_its_first_line_whose_required_fields_pass(tmp_path, stream):
+    # A file is read again for the first line; a stream, which cannot be, keeps its lines.
+    lines = [
+        {"id": "m1", "language": "te", "corpus_class": "digits"},  # no text: not the first m1
+        {"id": "m2", "text": "y", "language": "te", "corpus_class": "digits"},
+        {"id": "m1", "text": "x", "language": "te", "corpus_class": "digits"},
+        {"id": "m1", "text": "z", "language": "te", "corpus_class": "digits"},
+        {"id": "m2", "text": "w", "language": "te", "corpus_class": "digits"},
+    ]
+    data = "".join(json.dumps(line) + "\n" for line in lines).encode("utf-8")
+    path = tmp_path / "m.jsonl"
+    path.write_bytes(data)
+    read_end = None
+    if stream:
+        read_end, write_end = os.pipe()
+        os.write(write_end, data)  # within the pipe's buffer
+        os.close(write_end)
+        path = f"/dev/fd/{read_end}"
+    try:
+        with pytest.raises(DataError) as exc:
+            list(read_manifest(path))
+    finally:
+        if read_end is not None:
+            os.close(read_end)
+    assert exc.value.details == [
+        "line 1: missing or invalid field 'text'",
+        "line 4: duplicate id 'm1' (first seen on line 3)",
+        "line 5: duplicate id 'm2' (first seen on line 2)",
     ]
 
 

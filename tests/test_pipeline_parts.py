@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from indicscore import cli, pipeline_cli
 from indicscore.corpus import CORPUS_CLASSES
+from indicscore.errors import DataError
 
 TEXTS = {
     "te": ["ఇది ఒక పరీక్ష వాక్యం సరే", "ఖాతా 98765 43210 పంపండి సరే", "ok"],
@@ -375,3 +376,23 @@ def test_an_id_repeated_in_a_later_chunk_of_a_child_gives_the_one_process_result
         code, _, err, _ = assert_parts_match_one_process(tmp_path, encode(rows), verb_argv("route"), cpus)
     assert raised == ["an id is in two ranges"]
     assert code == 2 and f"duplicate id {rows[first - 1]['id']!r}" in err
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_a_duplicate_id_names_its_first_line_whose_required_fields_pass(tmp_path, cpus):
+    # lines 13-15 share an id; line 13 lacks its text, so line 14 is the first seen
+    no_text = {key: value for key, value in good_row(99).items() if key != "text"}
+    rows = [*ROWS, no_text, good_row(99), good_row(99)]
+    code, _, err, _ = assert_parts_match_one_process(tmp_path, encode(rows), verb_argv("validate"), cpus)
+    assert code == 2
+    assert "line 13: missing or invalid field 'text'" in err
+    assert "line 15: duplicate id 'r099' (first seen on line 14)" in err
+    # a range's own read names the line within the range
+    path = tmp_path / "m.jsonl"
+    with mock.patch.object(pipeline_cli, "PART_BYTES", 1), mock.patch.object(pipeline_cli, "_usable_cpus", lambda: 3):
+        start, stop = pipeline_cli._byte_ranges(str(path), ())[-1]
+    before = path.read_bytes()[:start].count(b"\n")  # the lines of the ranges before the last
+    assert 0 < before < 13
+    with pytest.raises(DataError) as exc:
+        list(pipeline_cli._read_manifest(path, set(), start, stop))
+    assert f"line {15 - before}: duplicate id 'r099' (first seen on line {14 - before})" in exc.value.details
