@@ -251,9 +251,7 @@ def synth_distribution(rows: Iterable[ManifestRow]) -> dict[tuple[str, str], int
 def render_distribution(counts: Mapping[tuple[str, str], int]) -> str:
     """Aligned per-language backend counts with row and column totals."""
     languages = sorted({lang for lang, _ in counts})
-    backends = [b for b in SYNTH_SYSTEMS if any(be == b for _, be in counts)]
-    if any(be == "unrouted" for _, be in counts):
-        backends.append("unrouted")
+    backends = [b for b in (*SYNTH_SYSTEMS, "unrouted") if any(be == b for _, be in counts)]
     lines = [["lang"] + backends + ["total"]]
     for lang in languages:
         row_counts = [counts.get((lang, b), 0) for b in backends]

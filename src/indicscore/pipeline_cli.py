@@ -230,17 +230,10 @@ def cmd_pipeline_route(args: argparse.Namespace) -> None:
     from . import pipeline
 
     def route(rows, outputs):
-        policy_kwargs: dict = {"seed": args.seed}
-        if args.weights:
-            weights = _parse_weights(args.weights)
-            policy_kwargs["weights"] = weights
-            # a bucket-relabel rule is vacuous once its bucket has no weight
-            policy_kwargs["overrides"] = tuple(
-                rule
-                for rule in pipeline.DEFAULT_OVERRIDES
-                if rule.bucket is None or rule.bucket in weights
-            )
-        policy = pipeline.RouterPolicy(**policy_kwargs)
+        weights = _parse_weights(args.weights) if args.weights else pipeline.DEFAULT_WEIGHTS
+        # a bucket-relabel rule is vacuous once its bucket has no weight
+        overrides = tuple(rule for rule in pipeline.DEFAULT_OVERRIDES if rule.bucket is None or rule.bucket in weights)
+        policy = pipeline.RouterPolicy(weights=weights, overrides=overrides, seed=args.seed)
         counts: Counter = Counter()
         (out,) = outputs()
         for row in rows:
@@ -333,9 +326,7 @@ def cmd_pipeline_validate(args: argparse.Namespace) -> None:
         for row in rows:
             total += 1
             violations = validate_corpus_row(row, config=config)
-            if not violations:
-                clean += 1
-                continue
+            clean += not violations
             found.extend((row.id, violation.kind, violation.detail) for violation in violations)
         return clean, total, found
 
