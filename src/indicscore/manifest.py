@@ -78,14 +78,14 @@ def read_manifest(path: str | Path) -> Iterator[ManifestRow]:
     DataError, after the last line, so a consumer must finish the
     iteration before acting on what it was given.
     """
-    return _read_manifest(Path(path), set())
+    return _read_manifest(Path(path), {})
 
 
 def _read_manifest(
-    path: Path, seen: set[str], start: int = 0, stop: int | None = None
+    path: Path, seen: dict[str, None], start: int = 0, stop: int | None = None
 ) -> Iterator[ManifestRow]:
     # read_manifest over the byte range [start, stop) of the file, which
-    # begins a line and ends one; the ids read are left in ``seen``.
+    # begins a line and ends one; the ids read are left as keys of ``seen``.
     problems: list[str] = []
     # each id's first line: read again at a file's first duplicate, kept as read from a stream
     first_lines: dict[str, int] | None = None if path.is_file() else {}
@@ -102,7 +102,7 @@ def _read_manifest(
                 first_lines = _first_lines(path, start, stop)
             problems.append(f"line {lineno}: duplicate id {row_id!r} (first seen on line {first_lines[row_id]})")
             continue
-        seen.add(row_id)
+        seen[row_id] = None
         if first_lines is not None:
             first_lines.setdefault(row_id, lineno)
         if corpus_class not in CORPUS_CLASSES:

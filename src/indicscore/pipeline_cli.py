@@ -149,10 +149,10 @@ def _run_in_parts(manifest: str, body, paths: tuple, ranges: list):
             with open(channel, "rb", closefd=False) as reader:
                 part_summary = marshal.load(reader)
                 while part_ids := marshal.load(reader):  # chunks of ids, then an empty list
-                    if not seen.isdisjoint(part_ids):
+                    if not seen.keys().isdisjoint(part_ids):
                         raise RuntimeError("an id is in two ranges")
                     if index < len(ranges):  # the ranges after this one are checked against its ids too
-                        seen.update(part_ids)
+                        seen.update(dict.fromkeys(part_ids))
             status = os.waitpid(pid, 0)[1]
             running.discard(pid)
             if status != 0:
@@ -170,7 +170,8 @@ def _run_part(manifest: str, body, targets, start: int, stop: int | None, stack:
     returns the summary, the ids read and the writers. When the body raises,
     the rest of the range is still read, so that a malformed manifest is the
     error reported."""
-    seen: set[str] = set()
+    # the ids as keys: a dict of them is smaller than a set, whose table grows fourfold
+    seen: dict[str, None] = {}
     writers: list = []
 
     def outputs():

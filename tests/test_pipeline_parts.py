@@ -394,5 +394,5 @@ def test_a_duplicate_id_names_its_first_line_whose_required_fields_pass(tmp_path
     before = path.read_bytes()[:start].count(b"\n")  # the lines of the ranges before the last
     assert 0 < before < 13
     with pytest.raises(DataError) as exc:
-        list(pipeline_cli._read_manifest(path, set(), start, stop))
+        list(pipeline_cli._read_manifest(path, {}, start, stop))
     assert f"line {15 - before}: duplicate id 'r099' (first seen on line {14 - before})" in exc.value.details
