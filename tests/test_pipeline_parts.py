@@ -8,8 +8,11 @@ The split is forced on small manifests by making every byte a part
 """
 
 import contextlib
+import hashlib
 import io
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -21,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from indicscore import cli, pipeline_cli
+from indicscore import cli, pipeline, pipeline_cli
 from indicscore.corpus import CORPUS_CLASSES
 from indicscore.errors import DataError
 
@@ -376,6 +379,46 @@ def test_an_id_repeated_in_a_later_chunk_of_a_child_gives_the_one_process_result
         code, _, err, _ = assert_parts_match_one_process(tmp_path, encode(rows), verb_argv("route"), cpus)
     assert raised == ["an id is in two ranges"]
     assert code == 2 and f"duplicate id {rows[first - 1]['id']!r}" in err
+
+
+# Every (language, corpus class) pair, codemix included, four times over.
+ROUTE_ROWS = [
+    {"id": f"r{i:03d}", "text": TEXTS[lang][i % len(TEXTS[lang])], "language": lang,
+     "corpus_class": CORPUS_CLASSES[(i // 3) % len(CORPUS_CLASSES)], "status": "pending"}
+    for i, lang in zip(range(72), itertools.cycle(["te", "ta", "hi"]))
+]
+
+
+# The sha256 of the routed file and of stdout per weight set. The last set
+# sums just under 1 and every draw is the top of the unit interval, so the
+# top-end guard takes praxy, the last bucket in name order, and a Hindi row
+# drawn into praxy still goes to chatterbox.
+@pytest.mark.parametrize("weights, draw, out_sha, stdout_sha", [
+    ([], None,
+     "cf4f6828625773978d68cc0e610e72501cb02e6b397b741130703a074fa77179",
+     "72d6e9029fb11676d9b3418d3a82cd70ebe4bf2569d42ce38b50ce773f180390"),
+    (["--weights", "cartesia=1.0"], None,
+     "ab4ead8e2874b15ecd19ff0fc3bbaae8ac1682bc149d5b1b220a0d7a65afb21c",
+     "b9ea270ab0acc62842b3f81015794e015c7bb469c77a4604b4bdc1247055b1f1"),
+    (["--weights", "elevenlabs=0.5,cartesia=0.5"], None,
+     "f5813e73b6fba9300c1ac65aa6d34dc4eb24943aed7b44c270c5dc8a47dca27b",
+     "b0a4abb1518ca64b281230fe48cfcbb331fd1e576a2a4127b8011e14ea7105ed"),
+    (["--weights", "praxy=0,elevenlabs=0.5,cartesia=0.5"], None,
+     "f5813e73b6fba9300c1ac65aa6d34dc4eb24943aed7b44c270c5dc8a47dca27b",
+     "b0a4abb1518ca64b281230fe48cfcbb331fd1e576a2a4127b8011e14ea7105ed"),
+    (["--weights", "cartesia=0.5,praxy=0.4999999995"], math.nextafter(1.0, 0.0),
+     "307c49acbcb6ca384971cdbbb566f1e7c9f2bc659b1fae17c0ce2bff56ecf2d2",
+     "4747954772092e973ff5a61fbb63f2fbaa4dfd1cfbffb577b6f3cd9ded1eb78a"),
+], ids=["default", "cartesia", "no praxy", "praxy at 0", "top-end guard"])
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_route_output_is_pinned(tmp_path, cpus, weights, draw, out_sha, stdout_sha):
+    unit_hash = pipeline._unit_interval_hash if draw is None else (lambda seed, row_id: draw)
+    with mock.patch.object(pipeline, "_unit_interval_hash", unit_hash):
+        (code, stdout, stderr, files), forks, _ = outcome(
+            tmp_path, encode(ROUTE_ROWS), verb_argv("route", weights=weights), cpus)
+    assert (code, stderr, bool(forks)) == (0, "", cpus > 1)
+    assert hashlib.sha256(files["out.jsonl"]).hexdigest() == out_sha
+    assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == stdout_sha
 
 
 @pytest.mark.parametrize("cpus", [1, 3])
