@@ -2,10 +2,9 @@
 
 Routing draws a synthesis backend per utterance from a seeded hash of the
 row id, so re-running with the same seed reproduces the corpus exactly and
-permuting the input never changes an assignment. Ordered override rules
-run first (code-mixed rows always go to the backend that can speak them)
-or relabel a drawn bucket (the default engine for one language may differ
-from the bucket name).
+permuting the input never changes an assignment. Two fixed rules apply, as
+`route_utterance` states them: code-mixed rows skip the draw, and Hindi
+rows drawn into praxy go to chatterbox.
 """
 
 from __future__ import annotations
@@ -43,36 +42,8 @@ DEFAULT_WEIGHTS: Mapping[str, float] = MappingProxyType({
 })
 
 
-class OverrideRule(Record):
-    """One ordered routing override.
-
-    With ``bucket`` unset the rule routes matching rows directly, before
-    any draw. With ``bucket`` set it relabels that drawn bucket for
-    matching rows (e.g. Hindi rows drawn into the default bucket go to a
-    different engine).
-    """
-
-    backend: str
-    corpus_class: str | None = None
-    language: str | None = None
-    bucket: str | None = None
-
-    def matches(self, row: ManifestRow) -> bool:
-        if self.corpus_class is not None and row.corpus_class != self.corpus_class:
-            return False
-        if self.language is not None and row.language != self.language:
-            return False
-        return True
-
-
-DEFAULT_OVERRIDES: tuple[OverrideRule, ...] = (
-    OverrideRule(backend="indicf5", corpus_class="codemix"),
-    OverrideRule(backend="chatterbox", language="hi", bucket="praxy"),
-)
-
-
 class RouterPolicy(Record):
-    """Backend weights plus ordered overrides and the draw seed.
+    """Backend weights and the draw seed.
 
     The weights are read once, here, into the draw table ``_buckets``:
     each backend with the running sum of the weights up to it, in name
@@ -80,7 +51,6 @@ class RouterPolicy(Record):
     """
 
     weights: Mapping[str, float] = DEFAULT_WEIGHTS
-    overrides: tuple[OverrideRule, ...] = DEFAULT_OVERRIDES
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -93,11 +63,6 @@ class RouterPolicy(Record):
                 raise ConfigurationError(f"weight {weight} for backend {backend!r} is not a number >= 0")
         if abs(sum(self.weights.values()) - 1.0) > 1e-9:
             raise ConfigurationError(f"router weights sum to {sum(self.weights.values())}, not 1")
-        for rule in self.overrides:
-            if rule.backend not in SYNTH_SYSTEMS:
-                raise ConfigurationError(f"unknown backend {rule.backend!r} in override rule")
-            if rule.bucket is not None and rule.bucket not in self.weights:
-                raise ConfigurationError(f"override relabels unknown bucket {rule.bucket!r}")
         buckets, cumulative = [], 0.0
         for name, weight in sorted(self.weights.items()):
             cumulative += weight
@@ -111,19 +76,20 @@ def _unit_interval_hash(seed: int, row_id: str) -> float:
 
 
 def route_utterance(row: ManifestRow, policy: RouterPolicy = RouterPolicy()) -> str:
-    """Pick the synthesis backend for one row, deterministically."""
-    for rule in policy.overrides:
-        if rule.bucket is None and rule.matches(row):
-            return rule.backend
+    """Pick the synthesis backend for one row, deterministically.
+
+    A code-mixed row goes to indicf5, the one engine that speaks it, without
+    a draw. Any other row takes the bucket its draw falls in, except that a
+    Hindi row drawn into praxy goes to chatterbox.
+    """
+    if row.corpus_class == "codemix":
+        return "indicf5"
     draw = _unit_interval_hash(policy.seed, row.id)
     for cumulative, bucket in policy._buckets:
         if draw < cumulative:
             break
     # with no break, the last bucket takes the draw: top-end float rounding
-    for rule in policy.overrides:
-        if rule.bucket == bucket and rule.matches(row):
-            return rule.backend
-    return bucket
+    return "chatterbox" if bucket == "praxy" and row.language == "hi" else bucket
 
 
 def route_row(row: ManifestRow, policy: RouterPolicy = RouterPolicy()) -> ManifestRow:

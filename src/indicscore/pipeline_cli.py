@@ -232,9 +232,7 @@ def cmd_pipeline_route(args: argparse.Namespace) -> None:
 
     def route(rows, outputs):
         weights = _parse_weights(args.weights) if args.weights else pipeline.DEFAULT_WEIGHTS
-        # a bucket-relabel rule is vacuous once its bucket has no weight
-        overrides = tuple(rule for rule in pipeline.DEFAULT_OVERRIDES if rule.bucket is None or rule.bucket in weights)
-        policy = pipeline.RouterPolicy(weights=weights, overrides=overrides, seed=args.seed)
+        policy = pipeline.RouterPolicy(weights=weights, seed=args.seed)
         counts: Counter = Counter()
         (out,) = outputs()
         for row in rows:

@@ -18,7 +18,6 @@ from indicscore.pipeline import (
     _unit_interval_hash,
     DEFAULT_WEIGHTS,
     HELDOUT_SYSTEM,
-    OverrideRule,
     RouterPolicy,
     apply_cer_filter,
     class_balance,
@@ -32,9 +31,8 @@ from indicscore.pipeline import (
 
 def route_utterance_oracle(row, policy):
     """route_utterance as it was when it sorted the weights on every row."""
-    for rule in policy.overrides:
-        if rule.bucket is None and rule.matches(row):
-            return rule.backend
+    if row.corpus_class == "codemix":  # code-mixed rows go to the one engine that speaks them
+        return "indicf5"
     draw = pipeline._unit_interval_hash(policy.seed, row.id)
     bucket = None
     cumulative = 0.0
@@ -45,9 +43,8 @@ def route_utterance_oracle(row, policy):
             break
     if bucket is None:  # guard against top-end float rounding
         bucket = sorted(policy.weights)[-1]
-    for rule in policy.overrides:
-        if rule.bucket == bucket and rule.matches(row):
-            return rule.backend
+    if bucket == "praxy" and row.language == "hi":  # Hindi rows drawn into praxy go to chatterbox
+        return "chatterbox"
     return bucket
 
 
@@ -81,14 +78,6 @@ def test_policy_rejects_bad_sum():
         RouterPolicy(weights={"praxy": 0.5, "cartesia": 0.4})
     with pytest.raises(ConfigurationError, match="router weights must not be empty"):
         RouterPolicy(weights={})
-
-
-def test_policy_rejects_bad_override():
-    with pytest.raises(ConfigurationError):
-        RouterPolicy(overrides=(OverrideRule(backend="googletts", corpus_class="codemix"),))
-    with pytest.raises(ConfigurationError):
-        # bucket-relabel overrides must name a bucket that exists
-        RouterPolicy(overrides=(OverrideRule(backend="chatterbox", language="hi", bucket="indicf5"),))
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +140,11 @@ def test_route_rows_assigns_and_preserves_order():
 
 
 def test_custom_weights_can_drop_backends():
-    policy = RouterPolicy(weights={"cartesia": 1.0}, overrides=())
+    policy = RouterPolicy(weights={"cartesia": 1.0})
     assert {route_utterance(r, policy) for r in many_rows(50)} == {"cartesia"}
+    # with no praxy bucket Hindi rows keep their draw; code-mixed rows still skip it
+    assert {route_utterance(r, policy) for r in many_rows(50, language="hi")} == {"cartesia"}
+    assert {route_utterance(r, policy) for r in many_rows(50, language="hi", corpus_class="codemix")} == {"indicf5"}
 
 
 @st.composite
@@ -164,14 +156,7 @@ def policies(draw):
     shortfall = draw(st.sampled_from([0.0, 5e-10, 9.9e-10]))
     weights = {b: w / sum(raw) * (1 - shortfall) for b, w in zip(backends, raw)}
     assume(abs(sum(weights.values()) - 1.0) <= 1e-9)
-    rules = draw(st.lists(st.builds(
-        OverrideRule,
-        backend=st.sampled_from(SYNTH_SYSTEMS),
-        corpus_class=st.none() | st.sampled_from(CORPUS_CLASSES),
-        language=st.none() | st.sampled_from(["te", "ta", "hi"]),
-        bucket=st.none() | st.sampled_from(backends),
-    ), max_size=3))
-    return RouterPolicy(weights=weights, overrides=tuple(rules), seed=draw(st.integers(-10, 10**6)))
+    return RouterPolicy(weights=weights, seed=draw(st.integers(-10, 10**6)))
 
 
 @given(
@@ -190,7 +175,7 @@ def test_route_utterance_matches_the_per_row_sort(policy, row_id, language, corp
 
 
 def test_the_top_end_guard_takes_the_last_bucket():
-    policy = RouterPolicy(weights={"cartesia": 0.5, "praxy": 0.5 - 9e-10}, overrides=())
+    policy = RouterPolicy(weights={"cartesia": 0.5, "praxy": 0.5 - 9e-10})
     row = make_manifest_row(0)
     with mock.patch.object(pipeline, "_unit_interval_hash", lambda seed, row_id: 1 - 1e-12):
         assert route_utterance(row, policy) == route_utterance_oracle(row, policy) == "praxy"
