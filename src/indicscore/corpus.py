@@ -365,12 +365,19 @@ def replacing(*paths: str | Path | int | None, opener: type = ReplacingFile) -> 
     The outputs are renamed into place, in argument order, only when the
     block completes; otherwise every temp file is removed. So a failed run
     neither creates nor changes an output, and an output may be a file the
-    run reads.
+    run reads. Two outputs that would replace one file are a
+    ``ConfigurationError``: one would silently lose to the other.
     """
     files: list = []
     try:
+        replaced: set[str] = set()
         for path in paths:
-            files.append(None if path is None else opener(path))
+            file = None if path is None else opener(path)
+            files.append(file)
+            if file is not None and file._temp is not None:  # None, or written in place
+                if file._target in replaced:
+                    raise ConfigurationError(f"two outputs name the same file: {file._target}")
+                replaced.add(file._target)
         yield files
         for file in files:
             if file is not None:

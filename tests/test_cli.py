@@ -423,6 +423,21 @@ def test_score_writes_no_scorecard_when_the_detail_cannot_be_written(
     )
 
 
+@pytest.mark.parametrize("detail", ["card.json", "./card.json", "link.json"])
+def test_score_refuses_a_detail_file_that_is_the_scorecard(tmp_path, holdout_path, preds_path, detail, capsys):
+    out = tmp_path / "card.json"
+    out.write_bytes(b"an earlier scorecard\n")
+    (tmp_path / "link.json").symlink_to("card.json")
+    code = run(
+        "score", "--holdout", holdout_path, "--predictions", preds_path, "--lang", "te",
+        "--out", str(out), "--detail", os.path.join(tmp_path, detail),
+    )
+    assert code == 1
+    assert capsys.readouterr().err == f"configuration error: two outputs name the same file: {out}\n"
+    assert out.read_bytes() == b"an earlier scorecard\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["card.json", "holdout.jsonl", "link.json", "preds.jsonl"]
+
+
 @pytest.mark.skipif(os.geteuid() == 0, reason="root may create files in a 0o555 directory")
 def test_score_fails_on_a_writable_scorecard_in_a_read_only_directory(tmp_path, holdout_path, preds_path, capsys):
     locked = tmp_path / "locked"
@@ -1154,6 +1169,15 @@ def test_pipeline_out_may_be_the_manifest(tmp_path, jsonl_writer, step, extra, c
     assert capsys.readouterr().out == expected_stdout
     assert (tmp_path / "in_place.jsonl").read_bytes() == separate.read_bytes()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in_place.jsonl", "separate.jsonl", "source.jsonl"]
+
+
+def test_pipeline_outputs_may_both_be_dev_null(jsonl_writer, capsys):
+    # written in place, not replaced, so not two outputs replacing one file
+    rows = [{"id": f"s{i}", "text": "వాక్యం ఇక్కడ ఉంది", "language": "te", "corpus_class": "digits",
+             "status": "synthesized", "cer_against_source": 0.2 * i} for i in range(4)]
+    manifest = jsonl_writer("synth.jsonl", rows)
+    assert run("pipeline", "filter", "--manifest", manifest, "--out", os.devnull, "--rejected", os.devnull) == 0
+    assert capsys.readouterr().out == "accepted 3  rejected 1  (threshold 0.500)\n"
 
 
 def test_pipeline_balance_needs_a_manifest_it_can_read_twice(tmp_path, capsys):

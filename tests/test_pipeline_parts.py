@@ -205,6 +205,18 @@ def test_options_give_the_one_process_result(tmp_path, verb, options, code):
     assert assert_parts_match_one_process(tmp_path, manifest, verb_argv(verb, **options))[0] == code
 
 
+@pytest.mark.parametrize("verb, options, name", [
+    ("filter", {"rejected": ["--rejected", "{d}/out.jsonl"]}, "out.jsonl"),
+    ("filter", {"rejected": ["--rejected", "{d}/../{d.name}/out.jsonl"]}, "out.jsonl"),
+    ("split", {"out": "{d}/heldout.jsonl"}, "heldout.jsonl"),
+])
+def test_two_outputs_naming_one_file_are_refused(tmp_path, verb, options, name):
+    code, _, err, files = assert_parts_match_one_process(
+        tmp_path, encode(clean_rows(verb)), verb_argv(verb, **options), cpus=3)
+    assert (code, err) == (1, f"configuration error: two outputs name the same file: {tmp_path / name}\n")
+    assert list(files) == ["m.jsonl"]
+
+
 @pytest.mark.parametrize("cpus, range_count", [(2, 1), (3, 2)])
 @pytest.mark.parametrize("verb", VERBS)
 def test_a_cut_in_a_last_line_without_a_newline_gives_the_one_process_result(tmp_path, verb, cpus, range_count):
