@@ -277,8 +277,11 @@ def validate_corpus_row(
                 Violation("entity_span", f"entity surface {entity.surface!r} not found in text")
             )
 
-    # read from corpus on each call, where a caller may have wrapped it
-    if not corpus.script_purity_check(text, row.language, spans, config.purity_threshold):
+    try:  # read from corpus on each call, where a caller may have wrapped it
+        pure = corpus.script_purity_check(text, row.language, spans, config.purity_threshold)
+    except ConfigurationError as exc:  # the row's own language is data
+        raise DataError(f"row {row.id!r}: {exc}") from exc
+    if not pure:
         violations.append(
             Violation("script_purity", f"off-script content exceeds {1 - config.purity_threshold:.0%}")
         )

@@ -345,10 +345,9 @@ def cmd_pipeline_rewrite_digits(args: argparse.Namespace) -> None:
         changed = 0
         (out,) = outputs()
         for row in rows:
-            table = load_language_table(row.language)
-            try:
-                new_text = rewrite_digit_runs(row.text, table, args.mode)
-            except DataError as exc:
+            try:  # the row's own language is data, as its text is
+                new_text = rewrite_digit_runs(row.text, load_language_table(row.language), args.mode)
+            except (DataError, ConfigurationError) as exc:
                 raise DataError(f"row {row.id!r}: {exc}") from exc
             if new_text != row.text:
                 changed += 1

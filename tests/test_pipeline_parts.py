@@ -245,6 +245,18 @@ def test_a_row_error_in_the_last_range_gives_the_one_process_result(tmp_path, ve
     assert result[0] == 2 and "r050" in result[2]
 
 
+@pytest.mark.parametrize("verb, language, message", [
+    ("validate", "xx", "unknown language 'xx'; expected one of hi, ta, te"),
+    ("validate", "en", "unknown language 'en'; expected one of hi, ta, te"),
+    ("rewrite-digits", "xx", "no bundled number lexicon for language 'xx'"),
+])
+def test_an_unknown_row_language_is_a_data_error_naming_the_row(tmp_path, verb, language, message):
+    rows = [*ROWS[:6], good_row(50, language=language), *ROWS[6:]]
+    code, _, err, files = assert_parts_match_one_process(tmp_path, encode(rows), verb_argv(verb), cpus=3)
+    assert (code, err) == (2, f"data error: row 'r050': {message}\n")
+    assert list(files) == ["m.jsonl"]
+
+
 def split_rows(systems):
     return [good_row(i, synth_system=system) for i, system in enumerate(systems)]
 
