@@ -183,7 +183,7 @@ def lcs_length(a: Sequence, b: Sequence) -> int:
 # ---------------------------------------------------------------------------
 
 def _run_verdict(ref: str, hyp: str) -> tuple[bool, str]:
-    for digits, bounds in _fused_runs(hyp) if ref else ():  # ref must be whole blocks of one run
+    for digits, bounds in _fused_runs(hyp):  # ref must be whole blocks of one run
         if any(digits.startswith(ref, start) and start + len(ref) in bounds for start in bounds):
             return True, f"run {ref} present"
     return False, ""
@@ -191,7 +191,10 @@ def _run_verdict(ref: str, hyp: str) -> tuple[bool, str]:
 
 def _match_digit_run(token: EntityToken, surface: str, hyp: str, config: ScoringConfig) -> tuple[bool, str]:
     """Exact digit-run match after NFKC, over the blocks of fused runs."""
-    return _run_verdict(_surface_digits(surface), hyp)
+    ref = _surface_digits(surface)
+    if not ref:
+        raise ReferenceDataError(f"digit run token {token.surface!r} has no digits")
+    return _run_verdict(ref, hyp)
 
 
 def _match_pincode(token: EntityToken, surface: str, hyp: str, config: ScoringConfig) -> tuple[bool, str]:

@@ -453,6 +453,7 @@ def test_digits_of_any_script_hit(ref, cls, hyp, mode):
     ("५००८१", "pincode", "pincode token '५००८१' must have exactly 6 digits, found 5"),
     ("౫౦౦౦౮౧౨", "pincode", "pincode token '౫౦౦౦౮౧౨' must have exactly 6 digits, found 7"),
     ("₹५०,००० ५", "currency_amount", "currency token '₹५०,००० ५' does not parse as an amount"),
+    ("abc", "digit_run", "digit run token 'abc' has no digits"),
 ])
 def test_a_reference_error_quotes_the_surface_as_written(surface, cls, message):
     with pytest.raises(ReferenceDataError) as raised:
