@@ -374,7 +374,7 @@ def replacing(*paths: str | Path | int | None, opener: type = ReplacingFile) -> 
         for path in paths:
             file = None if path is None else opener(path)
             files.append(file)
-            if file is not None and file._temp is not None:  # None, or written in place
+            if file is not None and file._temp is not None:  # an output written in place replaces nothing
                 if file._target in replaced:
                     raise ConfigurationError(f"two outputs name the same file: {file._target}")
                 replaced.add(file._target)
