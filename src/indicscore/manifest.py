@@ -32,6 +32,7 @@ from .corpus import (
 )
 from .errors import ConfigurationError, DataError
 from .record import Record
+from .script import LANGUAGES
 from .textnorm import nfkc_normalize, token_count
 
 # Forward-only transition ranks; the two terminal states share a rank.
@@ -107,6 +108,9 @@ def _read_manifest(
             first_lines.setdefault(row_id, lineno)
         if corpus_class not in CORPUS_CLASSES:
             problems.append(f"line {lineno}: unknown corpus_class {corpus_class!r}")
+            continue
+        if language not in LANGUAGES:
+            problems.append(f"line {lineno}: unknown language {language!r}")
             continue
         synth_system = get("synth_system")
         if synth_system is not None and synth_system not in SYNTH_SYSTEMS:
@@ -277,11 +281,8 @@ def validate_corpus_row(
                 Violation("entity_span", f"entity surface {entity.surface!r} not found in text")
             )
 
-    try:  # read from corpus on each call, where a caller may have wrapped it
-        pure = corpus.script_purity_check(text, row.language, spans, config.purity_threshold)
-    except ConfigurationError as exc:  # the row's own language is data
-        raise DataError(f"row {row.id!r}: {exc}") from exc
-    if not pure:
+    # read from corpus on each call, where a caller may have wrapped it
+    if not corpus.script_purity_check(text, row.language, spans, config.purity_threshold):
         violations.append(
             Violation("script_purity", f"off-script content exceeds {1 - config.purity_threshold:.0%}")
         )

@@ -97,9 +97,22 @@ def route_row(row: ManifestRow, policy: RouterPolicy = RouterPolicy()) -> Manife
     return _evolve(row, synth_system=route_utterance(row, policy))
 
 
+def routed_rows(rows: Iterable[ManifestRow], policy: RouterPolicy = RouterPolicy()) -> Iterator[ManifestRow]:
+    """Yield each row with its ``synth_system`` assigned. The ids of the rows past ``pending``
+    that already name an engine, which made their audio, are raised after the last row."""
+    relabelled: list[str] = []
+    for row in rows:
+        if row.status != "pending" and row.synth_system is not None:
+            relabelled.append(row.id)
+        elif not relabelled:
+            yield route_row(row, policy)
+    if relabelled:
+        raise DataError("route requires pending or unrouted rows", [f"id {row_id!r}" for row_id in relabelled])
+
+
 def route_rows(rows: Iterable[ManifestRow], policy: RouterPolicy = RouterPolicy()) -> list[ManifestRow]:
-    """Assign ``synth_system`` on every row."""
-    return [route_row(row, policy) for row in rows]
+    """Assign ``synth_system`` on every row, as ``routed_rows`` does."""
+    return list(routed_rows(rows, policy))
 
 
 # ---------------------------------------------------------------------------

@@ -235,8 +235,7 @@ def cmd_pipeline_route(args: argparse.Namespace) -> None:
         policy = pipeline.RouterPolicy(weights=weights, seed=args.seed)
         counts: Counter = Counter()
         (out,) = outputs()
-        for row in rows:
-            routed = pipeline.route_row(row, policy)
+        for routed in pipeline.routed_rows(rows, policy):
             out.write(routed)
             counts[pipeline.synth_key(routed)] += 1
         return dict(counts)
@@ -345,9 +344,9 @@ def cmd_pipeline_rewrite_digits(args: argparse.Namespace) -> None:
         changed = 0
         (out,) = outputs()
         for row in rows:
-            try:  # the row's own language is data, as its text is
+            try:
                 new_text = rewrite_digit_runs(row.text, load_language_table(row.language), args.mode)
-            except (DataError, ConfigurationError) as exc:
+            except DataError as exc:
                 raise DataError(f"row {row.id!r}: {exc}") from exc
             if new_text != row.text:
                 changed += 1

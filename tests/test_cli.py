@@ -1157,7 +1157,7 @@ def test_pipeline_out_may_be_the_manifest(tmp_path, jsonl_writer, step, extra, c
     rows = [
         {"id": f"s{i}", "text": f"పిన్ 50008{i} పంపు సరే", "language": "te",
          "corpus_class": "digits" if i % 2 else "currency", "synth_system": "praxy",
-         "status": "synthesized", "cer_against_source": 0.2 if i % 3 else 0.8}
+         "status": "pending" if step == "route" else "synthesized", "cer_against_source": 0.2 if i % 3 else 0.8}
         for i in range(8)
     ]
     separate = tmp_path / "separate.jsonl"

@@ -28,6 +28,7 @@ from indicscore.corpus import (
 )
 from indicscore.manifest import ManifestRow, _evolve, manifest_line, read_manifest
 from indicscore.errors import ConfigurationError, DataError
+from indicscore.script import LANGUAGES
 from indicscore.textnorm import _strip_edges
 
 
@@ -114,6 +115,9 @@ def oracle_read_manifest(path):
         seen[row_id] = lineno
         if corpus_class not in CORPUS_CLASSES:
             problems.append(f"line {lineno}: unknown corpus_class {corpus_class!r}")
+            continue
+        if language not in LANGUAGES:
+            problems.append(f"line {lineno}: unknown language {language!r}")
             continue
         synth_system = record.get("synth_system")
         if synth_system is not None and synth_system not in SYNTH_SYSTEMS:

@@ -84,12 +84,12 @@ def verb_modules(*argv, parts=False, flags=()):
     return set(modules)
 
 
-def write_manifest(path, rows):
+def write_manifest(path, rows, verb):
     text = "పిన్ కోడ్ 500081 పంపండి సరే"
     return write_jsonl(path, [
         {"id": f"r{i}", "text": text, "language": "te", "corpus_class": "digits",
          "entity_tokens": ["500081"], "synth_system": ["praxy", "cartesia", "elevenlabs"][i % 3],
-         "cer_against_source": 0.1, "status": "accepted"}
+         "cer_against_source": 0.1, "status": "pending" if verb == "route" else "accepted"}
         for i in range(rows)
     ])
 
@@ -101,7 +101,7 @@ def pipeline_verb_modules(verb, manifest, out, parts=False):
 
 @pytest.mark.parametrize("verb", sorted(PIPELINE_VERBS))
 def test_pipeline_verb_loads_neither_scorer_nor_openssl(tmp_path, verb):
-    manifest = write_manifest(tmp_path / "manifest.jsonl", 3)
+    manifest = write_manifest(tmp_path / "manifest.jsonl", 3, verb)
     modules = pipeline_verb_modules(verb, manifest, tmp_path / "out.jsonl")
     unwanted = {"indicscore.matchers", "indicscore.distance", "indicscore.scorecard", "logging"}
     if verb != "rewrite-digits":
@@ -115,8 +115,8 @@ def test_pipeline_verb_loads_neither_scorer_nor_openssl(tmp_path, verb):
 def test_a_verb_run_in_parts_loads_what_it_loads_in_one_process(tmp_path, verb):
     from indicscore.pipeline_cli import PART_BYTES
 
-    small = write_manifest(tmp_path / "small.jsonl", 3)
-    large = write_manifest(tmp_path / "large.jsonl", 2 * PART_BYTES // 200 + 1)
+    small = write_manifest(tmp_path / "small.jsonl", 3, verb)
+    large = write_manifest(tmp_path / "large.jsonl", 2 * PART_BYTES // 200 + 1, verb)
     assert os.path.getsize(large) >= 2 * PART_BYTES
     one = pipeline_verb_modules(verb, small, tmp_path / "out.jsonl")
     assert pipeline_verb_modules(verb, large, tmp_path / "out.jsonl", parts=True) == one

@@ -139,6 +139,18 @@ def test_route_rows_assigns_and_preserves_order():
     assert all(r.status == "pending" for r in routed)
 
 
+def test_route_rows_refuses_a_row_past_pending_that_names_an_engine():
+    routed = route_rows(many_rows(4), RouterPolicy(seed=1))
+    synthesized = [with_status(r, "synthesized") for r in routed]
+    # a pending row is routed again, and a row with no engine whatever its status
+    unrouted = with_status(many_rows(5)[4], "accepted")
+    again = route_rows([routed[0], unrouted], RouterPolicy(seed=2))
+    assert [r.status for r in again] == ["pending", "accepted"] and all(r.synth_system for r in again)
+    with pytest.raises(DataError, match="route requires pending or unrouted rows") as exc:
+        route_rows([synthesized[0], routed[1], unrouted, with_status(synthesized[3], "accepted")])
+    assert exc.value.details == [f"id {synthesized[0].id!r}", f"id {synthesized[3].id!r}"]
+
+
 def test_custom_weights_can_drop_backends():
     policy = RouterPolicy(weights={"cartesia": 1.0})
     assert {route_utterance(r, policy) for r in many_rows(50)} == {"cartesia"}

@@ -101,11 +101,12 @@ def assert_parts_match_one_process(directory, manifest, argv, cpus=2):
 
 ROWS = [good_row(i) for i in range(12)]
 SYNTHESIZED = [good_row(i, status="synthesized") for i in range(12)]  # what filter takes
+PENDING = [good_row(i, status="pending") for i in range(12)]  # what route takes
 VERBS = ["validate", "route", "filter", "split", "balance", "rewrite-digits"]
 
 
 def clean_rows(verb):
-    return SYNTHESIZED if verb == "filter" else ROWS
+    return {"filter": SYNTHESIZED, "route": PENDING}.get(verb, ROWS)
 
 
 def test_parts_are_forced_and_kept_on_a_clean_manifest(tmp_path):
@@ -165,19 +166,20 @@ def test_a_clean_run_in_parts_is_kept(tmp_path, verb):
 
 
 CASES = {
-    "malformed first line": ["{not json", *ROWS],
-    "malformed last line": [*ROWS, "[1, 2]"],
-    "duplicate ids in the first range": [ROWS[0], ROWS[0], *ROWS[1:]],
-    "duplicate ids in the last range": [*ROWS, ROWS[-1]],
-    "duplicate ids across ranges": [*ROWS, ROWS[0]],
-    "unknown class in the last range": [*ROWS, good_row(99, corpus_class="poetry")],
+    "malformed first line": lambda rows: ["{not json", *rows],
+    "malformed last line": lambda rows: [*rows, "[1, 2]"],
+    "duplicate ids in the first range": lambda rows: [rows[0], rows[0], *rows[1:]],
+    "duplicate ids in the last range": lambda rows: [*rows, rows[-1]],
+    "duplicate ids across ranges": lambda rows: [*rows, rows[0]],
+    "unknown class in the last range": lambda rows: [*rows, dict(rows[0], id="r099", corpus_class="poetry")],
 }
 
 
 @pytest.mark.parametrize("verb", VERBS)
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_a_problem_in_any_range_gives_the_one_process_result(tmp_path, case, verb):
-    assert assert_parts_match_one_process(tmp_path, encode(CASES[case]), verb_argv(verb))[0] != 0
+    manifest = encode(CASES[case](clean_rows(verb)))
+    assert assert_parts_match_one_process(tmp_path, manifest, verb_argv(verb))[0] != 0
 
 
 @pytest.mark.parametrize("verb", VERBS)
@@ -245,16 +247,33 @@ def test_a_row_error_in_the_last_range_gives_the_one_process_result(tmp_path, ve
     assert result[0] == 2 and "r050" in result[2]
 
 
-@pytest.mark.parametrize("verb, language, message", [
-    ("validate", "xx", "unknown language 'xx'; expected one of hi, ta, te"),
-    ("validate", "en", "unknown language 'en'; expected one of hi, ta, te"),
-    ("rewrite-digits", "xx", "no bundled number lexicon for language 'xx'"),
-])
-def test_an_unknown_row_language_is_a_data_error_naming_the_row(tmp_path, verb, language, message):
-    rows = [*ROWS[:6], good_row(50, language=language), *ROWS[6:]]
+@pytest.mark.parametrize("language", ["xx", "en"])
+@pytest.mark.parametrize("verb", VERBS)
+def test_an_unknown_row_language_is_a_data_error_naming_the_row(tmp_path, verb, language):
+    rows = clean_rows(verb)
+    rows = [*rows[:6], dict(rows[0], id="r050", language=language), *rows[6:]]
     code, _, err, files = assert_parts_match_one_process(tmp_path, encode(rows), verb_argv(verb), cpus=3)
-    assert (code, err) == (2, f"data error: row 'r050': {message}\n")
+    path = tmp_path / "m.jsonl"
+    assert (code, err) == (2, f"data error: malformed manifest file {path}\n  line 7: unknown language {language!r}\n")
     assert list(files) == ["m.jsonl"]
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_route_refuses_a_row_past_pending_that_names_an_engine(tmp_path, cpus):
+    # r003 is accepted and r007 synthesized, each by cartesia; r005 is accepted
+    # with no engine and r009 pending with one, and both are routed
+    rows = [*PENDING]
+    rows[3], rows[7] = good_row(3, synth_system="cartesia"), good_row(7, status="synthesized", synth_system="cartesia")
+    rows[5], rows[9] = good_row(5, synth_system=None), good_row(9, status="pending", synth_system="cartesia")
+    code, out, err, files = assert_parts_match_one_process(tmp_path, encode(rows), verb_argv("route"), cpus)
+    assert (code, out, err) == (2, "", "data error: route requires pending or unrouted rows\n  id 'r003'\n  id 'r007'\n")
+    assert list(files) == ["m.jsonl"]
+    del rows[7], rows[3]
+    code, _, err, files = assert_parts_match_one_process(tmp_path, encode(rows), verb_argv("route"), cpus)
+    routed = [json.loads(line) for line in files["out.jsonl"].splitlines()]
+    assert (code, err) == (0, "")
+    assert [(row["id"], row["status"]) for row in routed] == [(row["id"], row["status"]) for row in rows]
+    assert all(row["synth_system"] for row in routed)
 
 
 def split_rows(systems):
@@ -296,9 +315,9 @@ def test_a_child_that_exits_non_zero_falls_back_to_one_process(tmp_path, when):
             raised.append(exc)
             raise
 
-    expected, _, _ = outcome(tmp_path, encode(ROWS), verb_argv("route"), 1)
+    expected, _, _ = outcome(tmp_path, encode(PENDING), verb_argv("route"), 1)
     with failure, mock.patch.object(pipeline_cli, "_run_in_parts", spy):
-        got, forks, _ = outcome(tmp_path, encode(ROWS), verb_argv("route"), 2)
+        got, forks, _ = outcome(tmp_path, encode(PENDING), verb_argv("route"), 2)
     assert forks and raised and got == expected and expected[0] == 0
 
 
@@ -325,7 +344,7 @@ def test_a_run_in_parts_raises_no_resource_warning(tmp_path):
     src = str(Path(cli.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
     for verb in VERBS:
-        status = "synthesized" if verb == "filter" else "accepted"
+        status = clean_rows(verb)[0]["status"]
         (tmp_path / "m.jsonl").write_bytes(encode([good_row(i, status=status) for i in range(40)]))
         argv = [arg.format(d=tmp_path) for arg in verb_argv(verb)]
         result = subprocess.run(
@@ -382,7 +401,7 @@ def test_an_id_repeated_in_a_later_chunk_of_a_child_gives_the_one_process_result
     # The last child's ids arrive in chunks of two; the id it repeats, from
     # the range just before its own, is in its second chunk. With 3 CPUs
     # that range is another child's, so its chunks must have joined the ids seen.
-    rows = [good_row(i) for i in range(12)]
+    rows = [good_row(i, status="pending") for i in range(12)]
     (tmp_path / "m.jsonl").write_bytes(encode(rows))
     with mock.patch.object(pipeline_cli, "PART_BYTES", 1), mock.patch.object(pipeline_cli, "_usable_cpus", lambda: cpus):
         ranges = pipeline_cli._byte_ranges(str(tmp_path / "m.jsonl"), ())
