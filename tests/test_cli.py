@@ -675,6 +675,36 @@ def test_compare_prints_each_format_in_full(tmp_path, holdout_path, jsonl_writer
         assert capsys.readouterr().out == text
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_score_diagnose_and_compare_leave_no_file_descriptor_open(tmp_path, holdout_path, jsonl_writer, capsys):
+    # The CLI ends with os._exit, so no interpreter teardown turns a file left
+    # open into a ResourceWarning; this is the check that each call closes its own.
+    base_card, cand_card = score_base_and_cand(tmp_path, holdout_path, jsonl_writer)
+    aliases, bad_lexicon, te, bad = (tmp_path / name for name in ("aliases.tsv", "bad.tsv", "te.txt", "bad.txt"))
+    aliases.write_text("Paytm\tpaytm app\n", encoding="utf-8")
+    bad_lexicon.write_text("gross\t144\tmultiplier\tlatin\n", encoding="utf-8")
+    te.write_text("నమస్కారం\n", encoding="utf-8")
+    bad.write_bytes("café\n".encode("latin-1"))
+    lexicon = str(Path(cli_module.__file__).parent / "data" / "lexicons" / "te.tsv")
+    score = ["score", "--holdout", holdout_path, "--predictions", str(tmp_path / "cand.jsonl"), "--lang", "te",
+             "--aliases", str(aliases), "--out", str(tmp_path / "card.json")]
+    calls = [
+        ([*score, "--lexicon", lexicon], 0),
+        ([*score, "--lexicon", lexicon, "--detail", str(tmp_path / "card.json")], 1),
+        ([*score, "--lexicon", str(bad_lexicon)], 2),
+        (["diagnose", "--lang", "te", "--transcripts", f"a={te}", "--transcripts", f"b={te}"], 0),
+        (["diagnose", "--lang", "te", "--transcripts", f"a={te}", "--transcripts", f"a={te}"], 1),
+        (["diagnose", "--lang", "te", "--transcripts", f"a={te}", "--transcripts", f"b={bad}"], 2),
+        (["compare", "--baseline", str(base_card), str(cand_card)], 0),
+        (["compare", "--baseline", str(base_card), str(cand_card), "--format", "xml"], 1),
+        (["compare", "--baseline", str(base_card), str(bad)], 2),
+    ]
+    before = sorted(os.listdir("/proc/self/fd"))
+    for argv, code in calls:
+        assert (run(*argv), sorted(os.listdir("/proc/self/fd"))) == (code, before), argv
+    capsys.readouterr()
+
+
 def test_compare_mismatched_holdouts_exit_2(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -987,14 +1017,19 @@ def test_emit_prints_64_lines_to_a_write(fmt):
     assert out.writes <= 2 * -(-4001 // 64)  # the CSV header is a line too
 
 
+def python_child(*args, unbuffered=None, **popen_options):
+    """A fresh interpreter that imports this checkout's package, with stdout
+    unbuffered or not as ``unbuffered`` says (else as this one's environment does)."""
+    src = str(Path(cli_module.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    if unbuffered is not None:
+        env["PYTHONUNBUFFERED"] = "1" if unbuffered else ""  # empty is unset
+    return subprocess.Popen([sys.executable, *args], stderr=subprocess.PIPE, env=env, **popen_options)
+
+
 def cli_child(*argv, **popen_options):
     """The CLI's entry point in a fresh interpreter that imports this checkout's package."""
-    src = str(Path(cli_module.__file__).resolve().parent.parent)
-    return subprocess.Popen(
-        [sys.executable, "-m", "indicscore.cli", *argv], stderr=subprocess.PIPE,
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)),
-        **popen_options,
-    )
+    return python_child("-m", "indicscore.cli", *argv, **popen_options)
 
 
 def test_a_reader_closing_stdout_early_is_not_a_data_error(jsonl_writer):
@@ -1008,10 +1043,88 @@ def test_a_reader_closing_stdout_early_is_not_a_data_error(jsonl_writer):
     assert child.returncode == cli_module.EXIT_CLOSED_PIPE
 
 
+def test_main_returns_141_when_stdout_is_closed_early(manifest_path):
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    with contextlib.redirect_stdout(ClosedPipe()), contextlib.redirect_stderr(io.StringIO()) as err:
+        assert run("pipeline", "validate", "--manifest", manifest_path) == cli_module.EXIT_CLOSED_PIPE
+    assert err.getvalue() == ""
+
+
 def test_a_call_started_with_stdout_closed_succeeds(manifest_path):
     child = cli_child("pipeline", "validate", "--manifest", manifest_path, preexec_fn=lambda: os.close(1))
     _, err = child.communicate(timeout=120)
     assert (child.returncode, err) == (0, b"")
+
+
+# The entry point ends the process with os._exit once main returns: what a
+# fresh interpreter shows must be what main shows, whether stdout is buffered or not.
+
+def short_rows_manifest(jsonl_writer, count):
+    rows = [{"id": f"r{i:05d}", "text": "ఒకటి", "language": "te", "corpus_class": "digits"} for i in range(count)]
+    return jsonl_writer("short.jsonl", rows)  # one violation per row
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_records_output_over_64_kib_reaches_a_pipe_whole(jsonl_writer, unbuffered, capsys):
+    argv = ["pipeline", "validate", "--manifest", short_rows_manifest(jsonl_writer, 2000), "--format", "records"]
+    assert run(*argv) == 0
+    expected = capsys.readouterr().out.encode("utf-8")
+    assert len(expected) > 1 << 16  # more than a pipe holds
+    child = cli_child(*argv, unbuffered=unbuffered, stdout=subprocess.PIPE)
+    out, err = child.communicate(timeout=120)
+    assert (child.returncode, err, out) == (0, b"", expected)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_fresh_interpreter_gives_the_exit_code_and_output_main_gives(
+        tmp_path, jsonl_writer, holdout_path, preds_path, unbuffered, capsys):
+    heldout_empty = jsonl_writer("praxy.jsonl", [
+        {"id": f"s{i}", "text": "వాక్యం ఇక్కడ ఉంది", "language": "te", "corpus_class": "digits",
+         "synth_system": "praxy", "status": "accepted"} for i in range(3)])
+    split = ["pipeline", "split", "--manifest", heldout_empty,
+             "--out-train", str(tmp_path / "train.jsonl"), "--out-heldout", str(tmp_path / "heldout.jsonl")]
+    score = ["score", "--holdout", holdout_path, "--predictions", preds_path, "--lang", "te"]
+    calls = [
+        (split, 0),  # a warning on stderr
+        (score, 0),
+        (["--help"], 0),
+        (["score", "--holdout", holdout_path], 1),  # a usage error
+        ([*split[:-1], str(tmp_path / "train.jsonl")], 1),  # a configuration error
+        (["pipeline", "validate", "--manifest", str(tmp_path / "absent.jsonl")], 2),
+        ([*score[:-1], "ta"], 2),  # a data error
+    ]
+    errs = []
+    for argv, code in calls:
+        assert run(*argv) == code, argv
+        expected = capsys.readouterr()
+        child = cli_child(*argv, unbuffered=unbuffered, stdout=subprocess.PIPE)
+        out, err = child.communicate(timeout=120)
+        assert (child.returncode, out.decode("utf-8"), err.decode("utf-8")) == (code, expected.out, expected.err)
+        errs.append(expected.err)
+    assert errs[0] == "WARNING indicscore.pipeline: held-out split is empty: no rows from cartesia\n"
+    assert all(errs[3:]) and not any(errs[1:3])
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("manifest, code", [("short.jsonl", 0), ("absent.jsonl", 2)])
+def test_an_atexit_handler_registered_before_the_entry_point_runs_once(
+        tmp_path, jsonl_writer, manifest, code, unbuffered):
+    short_rows_manifest(jsonl_writer, 3)
+    boot = (
+        "import atexit, sys\n"
+        "atexit.register(print, 'atexit handler ran')\n"
+        "from indicscore.cli import entrypoint\n"
+        "entrypoint()\n"
+    )
+    child = python_child("-c", boot, "pipeline", "validate", "--manifest", str(tmp_path / manifest),
+                         unbuffered=unbuffered, stdout=subprocess.PIPE)
+    out, err = child.communicate(timeout=120)
+    assert child.returncode == code and b"Traceback" not in err, err
+    assert out.decode("utf-8").splitlines().count("atexit handler ran") == 1
+    assert out.endswith(b"atexit handler ran\n")  # printed after the verb's own output
 
 
 def test_pipeline_rewrite_digits(tmp_path, jsonl_writer, capsys):
