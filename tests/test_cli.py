@@ -1032,9 +1032,13 @@ def cli_child(*argv, **popen_options):
     return python_child("-m", "indicscore.cli", *argv, **popen_options)
 
 
+def short_rows_manifest(jsonl_writer, count):
+    rows = [{"id": f"r{i:05d}", "text": "ఒకటి", "language": "te", "corpus_class": "digits"} for i in range(count)]
+    return jsonl_writer("short.jsonl", rows)  # one violation per row
+
+
 def test_a_reader_closing_stdout_early_is_not_a_data_error(jsonl_writer):
-    rows = [{"id": f"r{i:05d}", "text": "ఒకటి", "language": "te", "corpus_class": "digits"} for i in range(4000)]
-    manifest = jsonl_writer("short.jsonl", rows)  # one 40-byte violation line per row: 160 KB, over a pipe's 64 KiB
+    manifest = short_rows_manifest(jsonl_writer, 4000)  # a 40-byte violation line per row: 160 KB, over a pipe's 64 KiB
     child = cli_child("pipeline", "validate", "--manifest", manifest, stdout=subprocess.PIPE)
     assert child.stdout.readline() == b"r00000: length: 1 tokens outside [3, 25]\n"
     child.stdout.close()  # as `| head -1` does
@@ -1061,12 +1065,6 @@ def test_a_call_started_with_stdout_closed_succeeds(manifest_path):
 
 # The entry point ends the process with os._exit once main returns: what a
 # fresh interpreter shows must be what main shows, whether stdout is buffered or not.
-
-def short_rows_manifest(jsonl_writer, count):
-    rows = [{"id": f"r{i:05d}", "text": "ఒకటి", "language": "te", "corpus_class": "digits"} for i in range(count)]
-    return jsonl_writer("short.jsonl", rows)  # one violation per row
-
-
 @pytest.mark.parametrize("unbuffered", [False, True])
 def test_a_records_output_over_64_kib_reaches_a_pipe_whole(jsonl_writer, unbuffered, capsys):
     argv = ["pipeline", "validate", "--manifest", short_rows_manifest(jsonl_writer, 2000), "--format", "records"]
@@ -1105,7 +1103,7 @@ def test_a_fresh_interpreter_gives_the_exit_code_and_output_main_gives(
         assert (child.returncode, out.decode("utf-8"), err.decode("utf-8")) == (code, expected.out, expected.err)
         errs.append(expected.err)
     assert errs[0] == "WARNING indicscore.pipeline: held-out split is empty: no rows from cartesia\n"
-    assert all(errs[3:]) and not any(errs[1:3])
+    assert all(errs[3:]) and not any(errs[1:3])  # an error message for each failing call only
 
 
 @pytest.mark.parametrize("unbuffered", [False, True])
@@ -1114,7 +1112,7 @@ def test_an_atexit_handler_registered_before_the_entry_point_runs_once(
         tmp_path, jsonl_writer, manifest, code, unbuffered):
     short_rows_manifest(jsonl_writer, 3)
     boot = (
-        "import atexit, sys\n"
+        "import atexit\n"
         "atexit.register(print, 'atexit handler ran')\n"
         "from indicscore.cli import entrypoint\n"
         "entrypoint()\n"
